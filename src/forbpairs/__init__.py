@@ -30,7 +30,6 @@ from .pairs import (
 )
 from .perfection import (
     is_omega_colourable,
-    is_perfect,
     is_perfect_definition,
     is_perfect_spgt,
     odd_hole,
@@ -46,7 +45,7 @@ __all__ = [
     "contains_induced", "is_free", "induced_closure",
     "PairSpec", "ClassSpec", "COLLECTIONS", "NAMED_CLASSES",
     "classify_pair", "in_collection", "theorem_collection",
-    "odd_hole", "is_perfect", "is_perfect_spgt", "is_perfect_definition",
+    "odd_hole", "is_perfect_spgt", "is_perfect_definition",
     "is_omega_colourable",
     "BoundValue", "ramsey", "threshold",
     "TwinCollapse", "twin_collapse", "blow_up",

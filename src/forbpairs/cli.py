@@ -15,7 +15,7 @@ from . import catalog, harness, structure
 from .canon import canonical_form
 from .expr import ExprError, graph_from_expr
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
-from .graphs import Graph, invariants, relabel, shape_report
+from .graphs import Graph, bits, invariants, relabel, shape_report
 from .induced import contains_induced
 from .pairs import (
     COLLECTIONS,
@@ -280,7 +280,7 @@ def _cmd_decompose(args) -> int:
     g = _graph_arg(args.expr, args.graph6)
     if args.olariu:
         for rep in structure.olariu_decompose(g):
-            vs = " ".join(map(str, _mask_list(rep.vertices)))
+            vs = " ".join(map(str, bits(rep.vertices)))
             line = f"component [{vs}] {rep.tag}"
             if rep.witness:
                 line += " witness " + " ".join(map(str, rep.witness))
@@ -320,15 +320,6 @@ def _cmd_bounds(args) -> int:
     print(f"threshold {name}{tuple(ints)} = {bv.value} "
           f"({'exact' if bv.exact else 'upper bound'})")
     return 0
-
-
-def _mask_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return out
 
 
 _HANDLERS = {

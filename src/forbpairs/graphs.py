@@ -7,11 +7,20 @@ values, so graphs can be shared freely between threads and processes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_VERTICES = 64
+
+
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Graph:
@@ -30,14 +39,11 @@ class Graph:
         return self.rows[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            m = self.rows[u] >> (u + 1) << (u + 1)
-            while m:
-                v = (m & -m).bit_length() - 1
-                out.append((u, v))
-                m &= m - 1
-        return out
+        return [
+            (u, v)
+            for u in range(self.n)
+            for v in bits(self.rows[u] >> (u + 1) << (u + 1))
+        ]
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
@@ -118,12 +124,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 def induced_on_mask(g: Graph, mask: int) -> Graph:
     """Subgraph induced on the vertex set given as a bit mask."""
-    vs = []
-    m = mask
-    while m:
-        vs.append((m & -m).bit_length() - 1)
-        m &= m - 1
-    return induced_subgraph(g, vs)
+    return induced_subgraph(g, bits(mask))
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -418,7 +419,3 @@ def chromatic_number(g: Graph) -> int:
 def invariants(g: Graph) -> Invariants:
     om = max_clique(g)
     return Invariants(alpha=independence_number(g), omega=om, chi=chromatic_number(g))
-
-
-def all_subsets_of_size(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    return itertools.combinations(range(n), k)

@@ -18,7 +18,6 @@ merge sorted results, so thread count never changes any output.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -32,7 +31,7 @@ from .graphs import (
     max_clique,
     relabel,
 )
-from .graph6 import encode_graph6, read_graph6_file
+from .graph6 import encode_graph6
 from .induced import is_free
 from .pairs import ClassSpec, PairSpec
 from .perfection import is_perfect_spgt
@@ -141,10 +140,6 @@ def generate_upto(
 def _split(items: Sequence, parts: int):
     size = max(1, -(-len(items) // parts))
     return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def default_threads() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +343,8 @@ def derive_blowup_catalog(n_max: int, threads: int = 1) -> Census:
                 seen[code] = (base.n, encode_graph6(relabel(base, perm)))
     members = sorted((order, code, g6) for code, (order, g6) in seen.items())
     return Census(
-        pattern_display=("kK1_plus_K2(2)", "co_K1_P4"),
+        pattern_display=tuple(str(catalog.recognize(p)) for p in patterns),
         predicates=("contains-C5", "twin-collapsed-base"),
         n_max=n_max,
         members=[m[2] for m in members],
     )
-
-
-def ingest_graph6(path) -> list[Graph]:
-    """Decode a one-per-line graph6 file; errors carry line numbers."""
-    return read_graph6_file(path)

@@ -3,11 +3,15 @@
 A pair of forbidden induced subgraphs {X,Y} either forces every graph of a
 restricted class to be perfect (omega-colourable), or it admits
 counterexamples; the collections below are the exact characterisations.
-Membership is a literal transcription of the defining case lists: sporadic
-pairs are matched by isomorphism against the catalog, parametric families
-(kK1, K_l, kK1 u K2 and complements) by shape recognition, and the
-"induced subgraph of P4 / of co(K3 u P4)" clauses by the containment
-tester, never by hard-coded lists.
+
+``_TABLE`` transcribes each collection's definition: the collections it
+includes, and unordered pairs of *shapes*.  A shape is a
+``catalog.recognize`` tag (``"Z1"``, ``"kK1(3)"`` for 3K1, ``"Kn(3)"`` for
+K3, ``"CompleteMultipartite(1,3)"`` for K1,3, ...), a bounded family such
+as kK1 with k >= 4 (``_FAMILIES``), an induced subgraph of P4 or of
+co(K3 u P4), or any graph.  A pair {X,Y} is in a collection when some
+shape pair (p, q) of the collection or of one it includes, recursively,
+has p a shape of X and q a shape of Y, or the other way round.
 """
 
 from __future__ import annotations
@@ -20,12 +24,67 @@ from .canon import canonical_code
 from .graphs import Graph, has_independent_set, is_connected, is_cycle
 from .induced import induced_closure
 
-COLLECTIONS = (
-    "P1", "O1", "P2", "P2c", "P3", "P4", "O2", "O2c", "O3", "O4",
-    "P1plus", "P1cplus", "P2plus", "P2cplus", "P3plus", "P4plus",
-    "O1plus", "O1cplus", "O2plus", "O2cplus", "O3plus", "O4plus",
-    "I", "R", "A_P", "A_1", "A_c", "A_3", "A_Omega",
-)
+_ANY = "any graph"
+_IN_P4 = "induced subgraph of P4"
+_IN_CO_K3_P4 = "induced subgraph of co(K3+P4)"
+
+# bounded family -> (catalog.recognize tag, least parameter)
+_FAMILIES = {
+    "kK1, k>=4": ("kK1", 4),
+    "K_l, l>=3": ("Kn", 3),
+    "K_l, l>=4": ("Kn", 4),
+    "kK1+K2, k>=3": ("kK1_plus_K2", 3),
+    "co(kK1+K2), k>=3": ("co_kK1_plus_K2", 3),
+}
+
+# collection -> (included collections, shape pairs), in the order of COLLECTIONS
+_TABLE = {
+    "P1": ((), (
+        (_IN_P4, _ANY),
+        ("kK1(3)", "Kn(3)"), ("kK1(3)", "Z1"), ("kK1(3)", "D"),
+        ("K1_P3", "Kn(3)"), ("K1_P3", "Z1"), ("K1_P3", "D"),
+        ("kK1_plus_K2(2)", "Kn(3)"), ("kK1_plus_K2(2)", "Z1"),
+    )),
+    "O1": (("P1",), (("kK1_plus_K2(2)", "D"),)),
+    "P2": (("P1", "I"), (("K1_P3", _IN_CO_K3_P4),)),
+    "P2c": (("P2",), (
+        ("CompleteMultipartite(1,3)", "TwoK2"), ("CompleteMultipartite(1,3)", "Pn(5)"),
+    )),
+    "P3": (("P1",), (
+        ("CompleteMultipartite(1,3)", "Kn(3)"), ("CompleteMultipartite(1,3)", "Z1"),
+        ("K13plus", "Kn(3)"), ("K13plus", "Z1"),
+    )),
+    "P4": (("P2c", "P3"), (
+        ("CompleteMultipartite(1,3)", "K1_K3"), ("CompleteMultipartite(1,3)", "Z2"),
+    )),
+    "O2": (("P2",), (("kK1_plus_K2(2)", "D"), ("kK1_plus_K2(2)", "co_K1_P4"))),
+    "O2c": (("P2c",), (("kK1_plus_K2(2)", "D"), ("kK1_plus_K2(2)", "co_K1_P4"))),
+    "O3": (("P3",), (("kK1_plus_K2(2)", "D"),)),
+    "O4": (("P4",), (("kK1_plus_K2(2)", "D"), ("kK1_plus_K2(2)", "co_K1_P4"))),
+    "P1plus": (("P1", "A_P", "A_1"), ()),
+    "P1cplus": (("P1plus", "A_c"), ()),
+    "P2plus": (("P2", "A_P"), ()),
+    "P2cplus": (("P2c", "A_P", "A_c"), ()),
+    "P3plus": (("P3", "A_P", "A_1", "A_c", "A_3"), ()),
+    "P4plus": (("P4", "A_P", "A_c", "A_3"), ()),
+    "O1plus": (("O1", "A_Omega", "A_1"), ()),
+    "O1cplus": (("O1plus",), ()),
+    "O2plus": (("O2", "A_Omega"), ()),
+    "O2cplus": (("O2c", "A_Omega"), ()),
+    "O3plus": (("O3", "A_Omega", "A_1", "A_3"), ()),
+    "O4plus": (("O4", "A_Omega", "A_3"), ()),
+    "I": ((), (("kK1(3)", _ANY),)),
+    "R": ((), (("kK1, k>=4", "K_l, l>=3"),)),
+    "A_P": (("R",), (("kK1_plus_K2(2)", "D"), ("kK1+K2, k>=3", "Kn(3)"))),
+    "A_1": ((), (("kK1(3)", "K_l, l>=4"), ("kK1(3)", "co(kK1+K2), k>=3"))),
+    "A_c": ((), (("kK1, k>=4", "Z1"), ("kK1+K2, k>=3", "Z1"))),
+    "A_3": ((), (("K1_K13", "Kn(3)"), ("K1_K13", "Z1"))),
+    "A_Omega": (("A_P", "A_c"), (
+        ("kK1, k>=4", "D"), ("kK1+K2, k>=3", "D"), ("kK1, k>=4", "co(kK1+K2), k>=3"),
+    )),
+}
+
+COLLECTIONS = tuple(_TABLE)
 
 
 @dataclass(frozen=True)
@@ -37,260 +96,52 @@ class PairSpec:
         return f"{{{catalog.recognize(self.x)}, {catalog.recognize(self.y)}}}"
 
 
+@lru_cache(maxsize=None)
+def _flattened(collection: str) -> frozenset[frozenset[str]]:
+    """Every shape pair of the collection and of the ones it includes."""
+    included, pairs = _TABLE[collection]
+    out = {frozenset(pair) for pair in pairs}
+    for name in included:
+        out |= _flattened(name)
+    return frozenset(out)
+
+
 @lru_cache(maxsize=1)
-def _codes():
-    from .graphs import disjoint_union
-
-    g = catalog
-    named = {
-        "3K1": g.empty_graph(3),
-        "K3": g.complete(3),
-        "Z1": g.paw(),
-        "Z2": g.hammer(),
-        "D": g.diamond(),
-        "K1_P3": disjoint_union(g.empty_graph(1), g.path(3)),
-        "2K1K2": g.k_k1_plus_k2(2),
-        "K13": g.claw(),
-        "chair": g.chair(),
-        "P5": g.path(5),
-        "2K2": disjoint_union(g.complete(2), g.complete(2)),
-        "K1_K3": disjoint_union(g.empty_graph(1), g.complete(3)),
-        "K1_K13": disjoint_union(g.empty_graph(1), g.claw()),
-        "gem": g.gem(),
-    }
-    codes = {name: canonical_code(gr) for name, gr in named.items()}
-    p4_closure = {
-        canonical_code(sub)
-        for subs in induced_closure(g.path(4)).values()
-        for sub in subs
-    }
-    cok3p4_closure = {
-        canonical_code(sub)
-        for subs in induced_closure(g.co_k3_p4()).values()
-        for sub in subs
-    }
-    return codes, p4_closure, cok3p4_closure
-
-
-class _Profile:
-    """Cached shape facts about one pair member."""
-
-    __slots__ = ("code", "sub_p4", "sub_cok3p4", "kk1", "kn", "kk1_k2", "co_kk1_k2")
-
-    def __init__(self, g: Graph):
-        codes, p4_closure, cok3p4_closure = _codes()
-        self.code = canonical_code(g)
-        self.sub_p4 = self.code in p4_closure
-        self.sub_cok3p4 = self.code in cok3p4_closure
-        n, ec = g.n, g.edge_count()
-        self.kk1 = n if ec == 0 and n >= 1 else None
-        self.kn = n if n >= 1 and ec == n * (n - 1) // 2 else None
-        self.kk1_k2 = n - 2 if ec == 1 else None
-        self.co_kk1_k2 = n - 2 if n >= 3 and ec == n * (n - 1) // 2 - 1 else None
-
-    def named(self, name: str) -> bool:
-        return self.code == _codes()[0][name]
-
-
-def _sporadic(a: _Profile, b: _Profile, pairs) -> bool:
-    return any(
-        (a.named(x) and b.named(y)) or (a.named(y) and b.named(x))
-        for x, y in pairs
-    )
-
-
-_P1_SPORADIC = (
-    ("3K1", "K3"), ("3K1", "Z1"), ("3K1", "D"),
-    ("K1_P3", "K3"), ("K1_P3", "Z1"), ("K1_P3", "D"),
-    ("2K1K2", "K3"), ("2K1K2", "Z1"),
-)
-
-
-def _in_p1(a, b):
-    return a.sub_p4 or b.sub_p4 or _sporadic(a, b, _P1_SPORADIC)
-
-
-def _in_o1(a, b):
-    return _in_p1(a, b) or _sporadic(a, b, (("2K1K2", "D"),))
-
-
-def _in_i(a, b):
-    return a.named("3K1") or b.named("3K1")
-
-
-def _k1p3_with_cok3p4_part(a, b):
-    return (a.named("K1_P3") and b.sub_cok3p4) or (b.named("K1_P3") and a.sub_cok3p4)
-
-
-def _in_p2(a, b):
-    return _in_p1(a, b) or _in_i(a, b) or _k1p3_with_cok3p4_part(a, b)
-
-
-def _in_p2c(a, b):
-    return _in_p2(a, b) or _sporadic(a, b, (("K13", "2K2"), ("K13", "P5")))
-
-
-def _in_p3(a, b):
-    return _in_p1(a, b) or _sporadic(
-        a, b, (("K13", "K3"), ("K13", "Z1"), ("chair", "K3"), ("chair", "Z1"))
-    )
-
-
-def _in_p4(a, b):
-    return (
-        _in_p2c(a, b)
-        or _in_p3(a, b)
-        or _sporadic(a, b, (("K13", "K1_K3"), ("K13", "Z2")))
-    )
-
-
-_OMEGA_EXTRA = (("2K1K2", "D"), ("2K1K2", "gem"))
-
-
-def _in_o2(a, b):
-    return _in_p2(a, b) or _sporadic(a, b, _OMEGA_EXTRA)
-
-
-def _in_o2c(a, b):
-    return _in_p2c(a, b) or _sporadic(a, b, _OMEGA_EXTRA)
-
-
-def _in_o3(a, b):
-    return _in_p3(a, b) or _sporadic(a, b, (("2K1K2", "D"),))
-
-
-def _in_o4(a, b):
-    return _in_p4(a, b) or _sporadic(a, b, _OMEGA_EXTRA)
-
-
-def _in_r(a, b):
-    return (
-        (a.kk1 is not None and a.kk1 >= 4 and b.kn is not None and b.kn >= 3)
-        or (b.kk1 is not None and b.kk1 >= 4 and a.kn is not None and a.kn >= 3)
-    )
-
-
-def _in_a_p(a, b):
-    if _in_r(a, b) or _sporadic(a, b, (("2K1K2", "D"),)):
-        return True
-    return (
-        (a.kk1_k2 is not None and a.kk1_k2 >= 3 and b.named("K3"))
-        or (b.kk1_k2 is not None and b.kk1_k2 >= 3 and a.named("K3"))
-    )
-
-
-def _in_a_1(a, b):
-    def one(p, q):
-        return p.named("3K1") and (
-            (q.kn is not None and q.kn >= 4)
-            or (q.co_kk1_k2 is not None and q.co_kk1_k2 >= 3)
+def _subgraph_codes() -> dict[str, frozenset[bytes]]:
+    return {
+        shape: frozenset(
+            canonical_code(sub) for subs in induced_closure(g).values() for sub in subs
         )
-
-    return one(a, b) or one(b, a)
-
-
-def _in_a_c(a, b):
-    def one(p, q):
-        return (
-            (p.kk1 is not None and p.kk1 >= 4)
-            or (p.kk1_k2 is not None and p.kk1_k2 >= 3)
-        ) and q.named("Z1")
-
-    return one(a, b) or one(b, a)
+        for shape, g in ((_IN_P4, catalog.path(4)), (_IN_CO_K3_P4, catalog.co_k3_p4()))
+    }
 
 
-def _in_a_3(a, b):
-    return _sporadic(a, b, (("K1_K13", "K3"), ("K1_K13", "Z1")))
+def _shapes(g: Graph) -> set[str]:
+    form = catalog.recognize(g)
+    code = canonical_code(g)
+    shapes = {_ANY, str(form)}
+    shapes.update(
+        name for name, (tag, least) in _FAMILIES.items()
+        if form.tag == tag and form.params[0] >= least
+    )
+    shapes.update(name for name, codes in _subgraph_codes().items() if code in codes)
+    return shapes
 
 
-def _in_a_omega(a, b):
-    if _in_a_p(a, b) or _in_a_c(a, b):
-        return True
-
-    def d_side(p, q):
-        return (
-            (p.kk1 is not None and p.kk1 >= 4)
-            or (p.kk1_k2 is not None and p.kk1_k2 >= 3)
-        ) and q.named("D")
-
-    def co_side(p, q):
-        return (
-            p.kk1 is not None
-            and p.kk1 >= 4
-            and q.co_kk1_k2 is not None
-            and q.co_kk1_k2 >= 3
-        )
-
-    return d_side(a, b) or d_side(b, a) or co_side(a, b) or co_side(b, a)
-
-
-def _in_p1plus(a, b):
-    return _in_p1(a, b) or _in_a_p(a, b) or _in_a_1(a, b)
-
-
-def _in_p1cplus(a, b):
-    return _in_p1plus(a, b) or _in_a_c(a, b)
-
-
-def _in_p2plus(a, b):
-    return _in_p2(a, b) or _in_a_p(a, b)
-
-
-def _in_p2cplus(a, b):
-    return _in_p2c(a, b) or _in_a_p(a, b) or _in_a_c(a, b)
-
-
-def _in_p3plus(a, b):
-    return _in_p3(a, b) or _in_a_p(a, b) or _in_a_1(a, b) or _in_a_c(a, b) or _in_a_3(a, b)
-
-
-def _in_p4plus(a, b):
-    return _in_p4(a, b) or _in_a_p(a, b) or _in_a_c(a, b) or _in_a_3(a, b)
-
-
-def _in_o1plus(a, b):
-    return _in_o1(a, b) or _in_a_omega(a, b) or _in_a_1(a, b)
-
-
-def _in_o2plus(a, b):
-    return _in_o2(a, b) or _in_a_omega(a, b)
-
-
-def _in_o2cplus(a, b):
-    return _in_o2c(a, b) or _in_a_omega(a, b)
-
-
-def _in_o3plus(a, b):
-    return _in_o3(a, b) or _in_a_omega(a, b) or _in_a_1(a, b) or _in_a_3(a, b)
-
-
-def _in_o4plus(a, b):
-    return _in_o4(a, b) or _in_a_omega(a, b) or _in_a_3(a, b)
-
-
-_PREDICATES = {
-    "P1": _in_p1, "O1": _in_o1, "P2": _in_p2, "P2c": _in_p2c, "P3": _in_p3,
-    "P4": _in_p4, "O2": _in_o2, "O2c": _in_o2c, "O3": _in_o3, "O4": _in_o4,
-    "P1plus": _in_p1plus, "P1cplus": _in_p1cplus, "P2plus": _in_p2plus,
-    "P2cplus": _in_p2cplus, "P3plus": _in_p3plus, "P4plus": _in_p4plus,
-    "O1plus": _in_o1plus, "O1cplus": _in_o1plus, "O2plus": _in_o2plus,
-    "O2cplus": _in_o2cplus, "O3plus": _in_o3plus, "O4plus": _in_o4plus,
-    "I": _in_i, "R": _in_r, "A_P": _in_a_p, "A_1": _in_a_1, "A_c": _in_a_c,
-    "A_3": _in_a_3, "A_Omega": _in_a_omega,
-}
+def _shape_pairs(pair: PairSpec) -> set[frozenset[str]]:
+    sx, sy = _shapes(pair.x), _shapes(pair.y)
+    return {frozenset((p, q)) for p in sx for q in sy}
 
 
 def in_collection(pair: PairSpec, collection: str) -> bool:
-    try:
-        pred = _PREDICATES[collection]
-    except KeyError:
-        raise ValueError(f"unknown collection {collection!r}") from None
-    return pred(_Profile(pair.x), _Profile(pair.y))
+    if collection not in _TABLE:
+        raise ValueError(f"unknown collection {collection!r}")
+    return not _flattened(collection).isdisjoint(_shape_pairs(pair))
 
 
 def classify_pair(pair: PairSpec) -> dict[str, bool]:
-    a, b = _Profile(pair.x), _Profile(pair.y)
-    return {name: _PREDICATES[name](a, b) for name in COLLECTIONS}
+    keys = _shape_pairs(pair)
+    return {name: not _flattened(name).isdisjoint(keys) for name in COLLECTIONS}
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     Graph,
+    bits,
     chromatic_number,
     complement,
     induced_on_mask,
@@ -161,21 +162,10 @@ def is_perfect_definition(g: Graph) -> PerfectnessCertificate:
         sub = induced_on_mask(g, mask)
         chi, omega = _chi_omega(sub)
         if chi > omega:
-            vertices = []
-            m = mask
-            while m:
-                b = m & -m
-                m ^= b
-                vertices.append(b.bit_length() - 1)
             return PerfectnessCertificate(
-                "imperfect", "chi_gt_omega", tuple(vertices), chi=chi, omega=omega
+                "imperfect", "chi_gt_omega", tuple(bits(mask)), chi=chi, omega=omega
             )
     return PerfectnessCertificate("perfect")
-
-
-def is_perfect(g: Graph) -> PerfectnessCertificate:
-    """Default perfectness test (the structural oracle)."""
-    return is_perfect_spgt(g)
 
 
 def is_omega_colourable(g: Graph) -> bool:

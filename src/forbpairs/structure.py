@@ -15,6 +15,7 @@ from typing import Sequence
 from . import catalog
 from .graphs import (
     Graph,
+    bits,
     complement,
     connected_components,
     disjoint_union,
@@ -63,7 +64,7 @@ def olariu_decompose(g: Graph) -> list[ComponentReport]:
     out = []
     paw = catalog.paw()
     for comp in connected_components(g):
-        vs = _mask_vertices(comp)
+        vs = bits(comp)
         sub = induced_on_mask(g, comp)
         if multipartite_parts(sub) is not None:
             out.append(ComponentReport(comp, COMPLETE_MULTIPARTITE))
@@ -273,10 +274,10 @@ def peel_colour(g: Graph, k: int, l: int) -> tuple[Colouring, CliquePeel]:
     layers: list[int] = []
     remaining = (1 << g.n) - 1
     while True:
-        vs = _mask_vertices(remaining)
+        vs = bits(remaining)
         sub = induced_on_mask(g, remaining)
         clique = max_clique_set(sub)
-        layer = sum(1 << vs[i] for i in _mask_vertices(clique))
+        layer = sum(1 << vs[i] for i in bits(clique))
         layers.append(layer)
         remaining &= ~layer
         rest = induced_on_mask(g, remaining)
@@ -291,15 +292,15 @@ def peel_colour(g: Graph, k: int, l: int) -> tuple[Colouring, CliquePeel]:
         raise LemmaContradiction("peel remainder has too large an independent set")
 
     colours = [0] * g.n  # 1-based once assigned
-    for i, v in enumerate(_mask_vertices(layers[0])):
+    for i, v in enumerate(bits(layers[0])):
         colours[v] = i + 1
 
     placed = layers[0]
     for layer in layers[1:]:
-        vs = _mask_vertices(layer)
+        vs = bits(layer)
         edges = []
         for ai, v in enumerate(vs):
-            banned = {colours[u] for u in _mask_vertices(g.rows[v] & placed)}
+            banned = {colours[u] for u in bits(g.rows[v] & placed)}
             edges.extend((ai, c - 1) for c in range(1, omega + 1) if c not in banned)
         matching = bipartite_matching(len(vs), omega, edges)
         if matching is None:
@@ -313,7 +314,7 @@ def peel_colour(g: Graph, k: int, l: int) -> tuple[Colouring, CliquePeel]:
     # remainder: fewer than R(k,m) vertices, each with few forbidden colours
     order = _degeneracy_order(g, remaining)
     for v in reversed(order):
-        banned = {colours[u] for u in _mask_vertices(g.rows[v] & placed)}
+        banned = {colours[u] for u in bits(g.rows[v] & placed)}
         c = next(c for c in range(1, omega + 2) if c not in banned)
         if c > omega:
             raise LemmaContradiction(
@@ -345,12 +346,3 @@ def _degeneracy_order(g: Graph, mask: int) -> list[int]:
         order.append(best_v)
         left &= ~(1 << best_v)
     return order
-
-
-def _mask_vertices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, MAX_VERTICES, induced_subgraph
+from .graphs import Graph, MAX_VERTICES, bits, induced_subgraph
 
 CLIQUE = "clique"
 INDEPENDENT = "independent"
@@ -69,21 +69,15 @@ class TwinCollapse:
         """Rebuild the original graph by replaying the merge log backwards."""
         label_rows = {v: 0 for v in self.alive}
         for i, v in enumerate(self.alive):
-            m = self.base.rows[i]
-            while m:
-                b = m & -m
-                m ^= b
-                label_rows[v] |= 1 << self.alive[b.bit_length() - 1]
+            for u in bits(self.base.rows[i]):
+                label_rows[v] |= 1 << self.alive[u]
         for merge in reversed(self.merges):
             mask = label_rows[merge.kept]
             if merge.kind == CLIQUE:
                 mask |= 1 << merge.kept
             label_rows[merge.removed] = mask
-            m = mask
-            while m:
-                b = m & -m
-                m ^= b
-                label_rows[b.bit_length() - 1] |= 1 << merge.removed
+            for u in bits(mask):
+                label_rows[u] |= 1 << merge.removed
         n = max(label_rows) + 1 if label_rows else 0
         return Graph(n, [label_rows.get(v, 0) for v in range(n)])
 

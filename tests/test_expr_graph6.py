@@ -132,12 +132,12 @@ def test_graph6_rejects(bad):
 def test_graph6_file_errors(tmp_path):
     p = tmp_path / "in.g6"
     p.write_text("Bw\nDhc\n")
-    from forbpairs.harness import ingest_graph6
+    from forbpairs.graph6 import read_graph6_file
 
-    gs = ingest_graph6(p)
+    gs = read_graph6_file(p)
     assert [g.n for g in gs] == [3, 5]
     p.write_text("")
-    assert ingest_graph6(p) == []
+    assert read_graph6_file(p) == []
     p.write_text("Bw\n???\n")
     with pytest.raises(Graph6Error, match="line 2"):
-        ingest_graph6(p)
+        read_graph6_file(p)
