@@ -12,10 +12,10 @@ import argparse
 import sys
 
 from . import catalog, harness, structure
-from .canon import canonical_form
+from .canon import canonical_graph
 from .expr import ExprError, graph_from_expr
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
-from .graphs import Graph, bits, invariants, relabel, shape_report
+from .graphs import Graph, bits, invariants, shape_report
 from .induced import contains_induced
 from .pairs import (
     COLLECTIONS,
@@ -167,10 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_expr(args) -> int:
     g = _graph_arg(args.text, args.graph6)
-    code, perm = canonical_form(g)
-    canon = relabel(g, perm) if g.n else g
     print(f"n {g.n} edges {g.edge_count()}")
-    print(f"graph6 {encode_graph6(canon)}")
+    print(f"graph6 {encode_graph6(canonical_graph(g))}")
     print(f"recognized {catalog.recognize(g)}")
     return 0
 

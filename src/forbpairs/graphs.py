@@ -112,13 +112,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     pos = {v: i for i, v in enumerate(vs)}
     rows = [0] * len(vs)
     for i, v in enumerate(vs):
-        m = g.rows[v]
-        while m:
-            u = (m & -m).bit_length() - 1
+        for u in bits(g.rows[v]):
             j = pos.get(u)
             if j is not None:
                 rows[i] |= 1 << j
-            m &= m - 1
     return Graph(len(vs), rows)
 
 
@@ -171,10 +168,9 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def bipartition(g: Graph) -> tuple[int, int] | None:
-    """Two-colouring as a pair of masks, or None if an odd cycle obstructs."""
+def is_bipartite(g: Graph) -> bool:
+    """True when g has a two-colouring, i.e. no odd cycle."""
     colour = {}
-    left = right = 0
     for start in range(g.n):
         if start in colour:
             continue
@@ -183,44 +179,23 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
         while stack:
             u = stack.pop()
             cu = colour[u]
-            m = g.rows[u]
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
+            for v in bits(g.rows[u]):
                 if v in colour:
                     if colour[v] == cu:
-                        return None
+                        return False
                 else:
                     colour[v] = cu ^ 1
                     stack.append(v)
-    for v, c in colour.items():
-        if c == 0:
-            left |= 1 << v
-        else:
-            right |= 1 << v
-    return left, right
-
-
-def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
+    return True
 
 
 def _is_clique_mask(g: Graph, mask: int) -> bool:
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        if (g.rows[v] | (1 << v)) & mask != mask:
-            return False
-    return True
+    return all((g.rows[v] | (1 << v)) & mask == mask for v in bits(mask))
 
 
 def is_complete_multipartite(g: Graph) -> bool:
     """True when the complement is a disjoint union of (at least one) cliques."""
-    if g.n == 0:
-        return False
-    co = complement(g)
-    return all(_is_clique_mask(co, comp) for comp in connected_components(co))
+    return multipartite_parts(g) is not None
 
 
 def multipartite_parts(g: Graph) -> list[int] | None:
@@ -299,10 +274,7 @@ def max_clique_set(g: Graph) -> int:
     def grow(chosen: int, cand: int, need: int) -> int | None:
         if need == 0:
             return chosen
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
+        for v in bits(cand):
             rest = cand & rows[v] & ~((1 << (v + 1)) - 1)
             if 1 + rest.bit_count() >= need:
                 got = grow(chosen | 1 << v, cand & rows[v], need - 1)

@@ -8,19 +8,23 @@ byte-stable).  An optional pattern list restricts generation to the
 deletion, so augmenting only free parents still reaches every free graph.
 This makes searches inside restrictive classes (the common case) cheap.
 
+One function, `_children`, builds each level; parallel runs apply it to
+chunks of the parents in a process pool, so thread count never changes
+any output.  `generate_upto` is the one walk over orders, and it checks
+the order limit before generating anything.
+
 Report schema (machine-readable lines)::
 
     counterexample\t<graph6>\t<property>\t<certificate>
-
-All analysis calls are pure; parallel runs partition the parent graphs and
-merge sorted results, so thread count never changes any output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
+from . import catalog
 from .canon import canonical_form
 from .graphs import (
     Graph,
@@ -65,17 +69,11 @@ def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
     return out
 
 
-def _children_chunk(args):
-    parents_rows, n, pattern_rows = args
-    parents = [Graph(n - 1, rows) for rows in parents_rows]
-    patterns = (
-        None
-        if pattern_rows is None
-        else [Graph(pn, rows) for pn, rows in pattern_rows]
-    )
-    return {
-        code: (g.n, g.rows) for code, g in _children(parents, patterns).items()
-    }
+def _check_order(n: int, patterns: Sequence[Graph] | None) -> None:
+    limit = GENERATOR_LIMIT if patterns is None else RESTRICTED_LIMIT
+    if n < 0 or n > limit:
+        scope = "all graphs" if patterns is None else "a free class"
+        raise ValueError(f"generation of {scope} covers orders 0..{limit}, not {n}")
 
 
 def generate_graphs(
@@ -88,12 +86,7 @@ def generate_graphs(
     With patterns given, only {patterns}-free graphs are produced (and the
     hereditary restriction also prunes the generation itself).
     """
-    limit = GENERATOR_LIMIT if patterns is None else RESTRICTED_LIMIT
-    if n < 0 or n > limit:
-        raise ValueError(
-            f"built-in generation covers 0..{limit} vertices here; "
-            "ingest graph6 files for larger orders"
-        )
+    _check_order(n, patterns)
     key_pat = None if patterns is None else tuple(
         sorted(canonical_form(p)[0] for p in patterns)
     )
@@ -108,21 +101,15 @@ def generate_graphs(
     else:
         parents = generate_graphs(n - 1, patterns, threads)
         if threads > 1 and len(parents) >= 64:
-            out: dict[bytes, Graph] = {}
-            chunks = _split(parents, threads * 4)
-            pattern_rows = (
-                None if patterns is None else [(p.n, p.rows) for p in patterns]
-            )
             import multiprocessing
 
+            out: dict[bytes, Graph] = {}
+            build = partial(_children, patterns=patterns)
             with multiprocessing.Pool(threads) as pool:
-                for part in pool.imap_unordered(
-                    _children_chunk,
-                    [([p.rows for p in c], n, pattern_rows) for c in chunks],
-                ):
-                    for code, (gn, rows) in part.items():
-                        if code not in out:
-                            out[code] = Graph(gn, rows)
+                # equal canonical codes carry identical canonical graphs,
+                # so the parts merge in any order
+                for part in pool.imap_unordered(build, _split(parents, threads * 4)):
+                    out.update(part)
         else:
             out = _children(parents, patterns)
         result = [out[c] for c in sorted(out)]
@@ -132,9 +119,13 @@ def generate_graphs(
 
 def generate_upto(
     n_max: int, patterns: Sequence[Graph] | None = None, threads: int = 1
-) -> Iterable[Graph]:
-    for n in range(1, n_max + 1):
-        yield from generate_graphs(n, patterns, threads)
+) -> Iterator[Graph]:
+    """Graphs on 1..n_max vertices, by order then canonical code.  The
+    limit is checked before any level is generated."""
+    _check_order(n_max, patterns)
+    return (
+        g for n in range(1, n_max + 1) for g in generate_graphs(n, patterns, threads)
+    )
 
 
 def _split(items: Sequence, parts: int):
@@ -216,23 +207,20 @@ def verify_universal(
         prop=prop,
         n_max=n_max,
         restricted=restricted,
+        examined=dict.fromkeys(range(1, n_max + 1), 0),
+        passing=dict.fromkeys(range(1, n_max + 1), 0),
     )
-    for n in range(1, n_max + 1):
-        examined = passing = 0
-        for g in generate_graphs(n, patterns if restricted else None, threads):
-            examined += 1
-            if not cls.contains(g):
-                continue
-            if not restricted and not is_free(g, patterns):
-                continue
-            passing += 1
-            cert = _property_certificate(g, prop)
-            if cert is not None:
-                ce = Counterexample(encode_graph6(g), n, cert)
-                _revalidate(g, cls, patterns, prop)
-                report.counterexamples.append(ce)
-        report.examined[n] = examined
-        report.passing[n] = passing
+    for g in generate_upto(n_max, patterns if restricted else None, threads):
+        report.examined[g.n] += 1
+        if not cls.contains(g):
+            continue
+        if not restricted and not is_free(g, patterns):
+            continue
+        report.passing[g.n] += 1
+        cert = _property_certificate(g, prop)
+        if cert is not None:
+            _revalidate(g, cls, patterns, prop)
+            report.counterexamples.append(Counterexample(encode_graph6(g), g.n, cert))
     if report.counterexamples:
         report.verdict = "violated"
     return report
@@ -274,7 +262,6 @@ PREDICATES: dict[str, Callable[[Graph], bool]] = {
 
 
 def _contains_c5(g: Graph) -> bool:
-    from . import catalog
     from .induced import contains_induced
 
     return contains_induced(g, catalog.cycle(5)) is not None
@@ -309,38 +296,30 @@ def census(
                 f"unknown predicate {name!r}; choose from {sorted(PREDICATES)}"
             )
         preds.append(PREDICATES[name])
-    members: list[tuple[int, bytes, str]] = []
-    for n in range(1, n_max + 1):
-        for g in generate_graphs(n, list(patterns), threads):
-            if all(p(g) for p in preds):
-                members.append((n, canonical_form(g)[0], encode_graph6(g)))
-    members.sort()
-    from . import catalog
-
+    members = [
+        encode_graph6(g)
+        for g in generate_upto(n_max, list(patterns), threads)
+        if all(p(g) for p in preds)
+    ]
     return Census(
         pattern_display=tuple(str(catalog.recognize(p)) for p in patterns),
         predicates=tuple(predicates),
         n_max=n_max,
-        members=[m[2] for m in members],
+        members=members,
     )
 
 
 def derive_blowup_catalog(n_max: int, threads: int = 1) -> Census:
     """Twin-collapsed bases of all {2K1 u K2, gem}-free graphs with a C5."""
-    from . import catalog
-
-    if n_max > GENERATOR_LIMIT:
-        raise ValueError(f"n_max is limited to {GENERATOR_LIMIT}")
     patterns = [catalog.k_k1_plus_k2(2), catalog.gem()]
     seen: dict[bytes, tuple[int, str]] = {}
-    for n in range(5, n_max + 1):
-        for g in generate_graphs(n, patterns, threads):
-            if not _contains_c5(g):
-                continue
-            base = twin_collapse(g).base
-            code, perm = canonical_form(base)
-            if code not in seen:
-                seen[code] = (base.n, encode_graph6(relabel(base, perm)))
+    for g in generate_upto(n_max, patterns, threads):
+        if not _contains_c5(g):
+            continue
+        base = twin_collapse(g).base
+        code, perm = canonical_form(base)
+        if code not in seen:
+            seen[code] = (base.n, encode_graph6(relabel(base, perm)))
     members = sorted((order, code, g6) for code, (order, g6) in seen.items())
     return Census(
         pattern_display=tuple(str(catalog.recognize(p)) for p in patterns),

@@ -335,11 +335,7 @@ def _degeneracy_order(g: Graph, mask: int) -> list[int]:
     order = []
     while left:
         best_v, best_d = -1, 1 << 30
-        m = left
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
+        for v in bits(left):
             d = (g.rows[v] & left).bit_count()
             if d < best_d:
                 best_v, best_d = v, d

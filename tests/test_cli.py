@@ -66,6 +66,23 @@ def test_usage_errors(capsys):
     assert main(["bounds", "--threshold", "bogus", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--pair", "K1,3", "P5", "--class", "G5", "--property", "perfect",
+     "--nmax", "13"],
+    ["verify", "--pair", "K3", "4K1", "--class", "G5", "--property", "perfect",
+     "--nmax", "11", "--full"],
+    ["census", "--free", "2K1+K2", "D", "--nmax", "13"],
+    ["catalog", "--nmax", "13"],
+    ["check", "--graph6", "--expr", "~??~"],
+])
+def test_rejected_input_exits_two(argv, capsys):
+    """Input beyond the limits fails at once, with one error line."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_graph6_input(capsys):
     rc = main(["check", "--expr", "Dhc", "--graph6", "--perfect"])
     out = capsys.readouterr().out

@@ -71,10 +71,30 @@ def test_restricted_equals_filtered():
 
 
 def test_generator_limits():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all graphs covers orders 0..10"):
         generate_graphs(11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a free class covers orders 0..12"):
         generate_graphs(13, [G("K3")])
+
+
+def test_limits_checked_before_generating(monkeypatch):
+    """An order beyond the limit fails before any level is built."""
+    from forbpairs import harness
+
+    def no_levels(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(harness, "_cache", {})
+    monkeypatch.setattr(harness, "_children", no_levels)
+    pair = PairSpec(G("K1,3"), G("P5"))
+    with pytest.raises(ValueError, match="free class"):
+        verify_universal(pair, NAMED_CLASSES["G5"], "perfect", 13)
+    with pytest.raises(ValueError, match="all graphs"):
+        verify_universal(pair, NAMED_CLASSES["G5"], "perfect", 11, restricted=False)
+    with pytest.raises(ValueError, match="free class"):
+        census([G("K3")], ["connected"], 13)
+    with pytest.raises(ValueError, match="free class"):
+        harness.derive_blowup_catalog(13)
 
 
 def test_verify_report_shape():
