@@ -7,6 +7,12 @@ byte-stable).  An optional pattern list restricts generation to the
 {patterns}-free hereditary class: freeness is closed under vertex
 deletion, so augmenting only free parents still reaches every free graph.
 This makes searches inside restrictive classes (the common case) cheap.
+A child of a free parent can contain a pattern only through its new
+vertex, so freeness is settled once per parent: `induced.anchored_copies`
+lists the parent's copies of each pattern less one vertex, and every
+neighbourhood mask of the new vertex that completes one is skipped before
+a graph is built or a canonical form computed.  The full matcher is not on
+this path; it serves `verify --full` and re-validates counterexamples.
 
 One function, `_children`, builds each level; parallel runs apply it to
 chunks of the parents in a process pool, so thread count never changes
@@ -36,7 +42,7 @@ from .graphs import (
     relabel,
 )
 from .graph6 import encode_graph6
-from .induced import is_free
+from .induced import anchored_copies, contains_induced, is_free
 from .pairs import ClassSpec, PairSpec
 from .perfection import is_perfect_spgt
 from .twins import twin_collapse
@@ -57,15 +63,32 @@ def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
         n = parent.n + 1
         new_bit = 1 << (n - 1)
         prows = parent.rows
+        blocked = set() if patterns is None else _blocked(parent, patterns)
         for mask in range(1 << (n - 1)):
+            if mask in blocked:
+                continue
             rows = [r | new_bit if mask >> v & 1 else r for v, r in enumerate(prows)]
             rows.append(mask)
             g = Graph(n, rows)
-            if patterns is not None and not is_free(g, patterns):
-                continue
             code, perm = canonical_form(g)
             if code not in out:
                 out[code] = relabel(g, perm)
+    return out
+
+
+def _blocked(parent: Graph, patterns: Sequence[Graph]) -> set[int]:
+    """Neighbourhoods of the new vertex that complete a pattern copy: every
+    mask with mask & S == R for a pair of `anchored_copies`."""
+    full = (1 << parent.n) - 1
+    out: set[int] = set()
+    for s, r in anchored_copies(parent, patterns):
+        free = full ^ s
+        sub = free
+        while True:
+            out.add(r | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
     return out
 
 
@@ -87,32 +110,28 @@ def generate_graphs(
     hereditary restriction also prunes the generation itself).
     """
     _check_order(n, patterns)
+    if n == 0:
+        return [Graph(0, ())]
     key_pat = None if patterns is None else tuple(
         sorted(canonical_form(p)[0] for p in patterns)
     )
     hit = _cache.get((n, key_pat))
     if hit is not None:
         return hit
-    if n == 0:
-        result = [Graph(0, ())]
-    elif n == 1:
-        g = Graph(1, (0,))
-        result = [g] if patterns is None or is_free(g, patterns) else []
-    else:
-        parents = generate_graphs(n - 1, patterns, threads)
-        if threads > 1 and len(parents) >= 64:
-            import multiprocessing
+    parents = generate_graphs(n - 1, patterns, threads)
+    if threads > 1 and len(parents) >= 64:
+        import multiprocessing
 
-            out: dict[bytes, Graph] = {}
-            build = partial(_children, patterns=patterns)
-            with multiprocessing.Pool(threads) as pool:
-                # equal canonical codes carry identical canonical graphs,
-                # so the parts merge in any order
-                for part in pool.imap_unordered(build, _split(parents, threads * 4)):
-                    out.update(part)
-        else:
-            out = _children(parents, patterns)
-        result = [out[c] for c in sorted(out)]
+        out: dict[bytes, Graph] = {}
+        build = partial(_children, patterns=patterns)
+        with multiprocessing.Pool(threads) as pool:
+            # equal canonical codes carry identical canonical graphs,
+            # so the parts merge in any order
+            for part in pool.imap_unordered(build, _split(parents, threads * 4)):
+                out.update(part)
+    else:
+        out = _children(parents, patterns)
+    result = [out[c] for c in sorted(out)]
     _cache[(n, key_pat)] = result
     return result
 
@@ -261,10 +280,11 @@ PREDICATES: dict[str, Callable[[Graph], bool]] = {
 }
 
 
-def _contains_c5(g: Graph) -> bool:
-    from .induced import contains_induced
+_C5 = catalog.cycle(5)
 
-    return contains_induced(g, catalog.cycle(5)) is not None
+
+def _contains_c5(g: Graph) -> bool:
+    return contains_induced(g, _C5) is not None
 
 
 @dataclass

@@ -63,11 +63,22 @@ def test_generated_graphs_are_canonical_and_sorted():
 
 
 def test_restricted_equals_filtered():
-    pats = [G("2K1+K2"), G("D")]
-    for n in range(1, 8):
-        full = {canonical_code(g) for g in generate_graphs(n) if is_free(g, pats)}
-        restricted = {canonical_code(g) for g in generate_graphs(n, pats)}
-        assert full == restricted
+    for pair in [
+        ("K1,3", "P5"),
+        ("K1,3", "Z2"),
+        ("chair", "Z1"),
+        ("2K1+K2", "co(K1+P4)"),
+        ("2K1+K2", "D"),
+        ("3K1", "K4"),
+        ("4K1", "K3"),
+        ("K1", "P4"),
+        ("K2", "P4"),
+    ]:
+        pats = [G(s) for s in pair]
+        for n in range(1, 8):
+            full = {canonical_code(g) for g in generate_graphs(n) if is_free(g, pats)}
+            restricted = {canonical_code(g) for g in generate_graphs(n, pats)}
+            assert full == restricted, (pair, n)
 
 
 def test_generator_limits():

@@ -5,8 +5,15 @@ import pytest
 
 from forbpairs.canon import canonical_code, isomorphic
 from forbpairs.expr import graph_from_expr as G
-from forbpairs.graphs import build, complement, induced_on_mask
-from forbpairs.induced import contains_induced, first_violation, induced_closure, is_free
+from forbpairs.graphs import Graph, build, complement, induced_on_mask
+from forbpairs.harness import _blocked, generate_graphs
+from forbpairs.induced import (
+    anchored_copies,
+    contains_induced,
+    first_violation,
+    induced_closure,
+    is_free,
+)
 
 
 def brute_contains(host, pattern):
@@ -64,8 +71,6 @@ def test_identity_and_monotonicity():
 
 
 def test_complement_duality_exhaustive():
-    from forbpairs.harness import generate_graphs
-
     hosts = generate_graphs(5) + generate_graphs(6)
     pats = generate_graphs(3) + generate_graphs(4)
     for h in hosts:
@@ -96,3 +101,48 @@ def test_closure_p4():
     assert any(g.n == 4 for g in flat)  # includes P4 itself
     with pytest.raises(ValueError):
         induced_closure(G("K11"))
+
+
+def _extension(parent, mask):
+    n = parent.n + 1
+    rows = [r | 1 << (n - 1) if mask >> v & 1 else r for v, r in enumerate(parent.rows)]
+    return Graph(n, rows + [mask])
+
+
+ANCHOR_PATTERNS = [p for n in range(1, 5) for p in generate_graphs(n)] + [
+    G(s) for s in ["P5", "Z2", "chair", "co(K1+P4)"]
+]
+
+
+def _check_anchored(orders):
+    """The masks the anchored pairs reject are exactly the one-vertex
+    extensions of each P-free parent that the full matcher finds P in."""
+    for p in ANCHOR_PATTERNS:
+        for n in orders:
+            for parent in generate_graphs(n):
+                if not is_free(parent, [p]):
+                    continue
+                copies = anchored_copies(parent, [p])
+                masks = range(1 << parent.n)
+                by_pairs = {m for m in masks if any(m & s == r for s, r in copies)}
+                by_matcher = {m for m in masks if not is_free(_extension(parent, m), [p])}
+                assert by_pairs == by_matcher, (p, parent)
+                assert _blocked(parent, [p]) == by_matcher
+
+
+def test_anchored_copies_against_matcher():
+    _check_anchored(range(7))
+
+
+@pytest.mark.slow
+def test_anchored_copies_against_matcher_seven():
+    _check_anchored([7])
+
+
+def test_empty_pattern_rejects_every_child():
+    k0 = Graph(0, ())
+    for parent in generate_graphs(3):
+        assert anchored_copies(parent, [k0]) == {(0, 0)}
+        assert _blocked(parent, [k0]) == set(range(1 << parent.n))
+    assert generate_graphs(1, [k0]) == [] and generate_graphs(3, [k0]) == []
+    assert generate_graphs(2, [G("K1")]) == []
