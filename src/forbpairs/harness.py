@@ -14,6 +14,20 @@ neighbourhood mask of the new vertex that completes one is skipped before
 a graph is built or a canonical form computed.  The full matcher is not on
 this path; it serves `verify --full` and re-validates counterexamples.
 
+Most children are discarded before their canonical form is computed, by a
+canonical-deletion filter after McKay ("Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  A child is kept only when its new
+vertex has the maximal invariant among the child's vertices: the degree
+first, then, among vertices of equal degree, the sum of the neighbours'
+degrees.  Both are read off the parent's degrees and the mask, from
+adjacency alone.  This loses no class.  Take a graph G of the level and a
+vertex m of G with the maximal invariant.  G - m is in the parent level,
+up to isomorphism, since the class is hereditary.  So one mask re-adds m
+to that canonical parent; it is not blocked, because G is free, and the
+filter keeps it, because the invariant ignores labels.  Ties are all kept,
+and the canonical-code dict removes the duplicates, so the output is the
+same as canonicalising every child.
+
 One function, `_children`, builds each level; parallel runs apply it to
 chunks of the parents in a process pool, so thread count never changes
 any output.  `generate_upto` is the one walk over orders, and it checks
@@ -34,6 +48,7 @@ from . import catalog
 from .canon import canonical_form
 from .graphs import (
     Graph,
+    bits,
     chromatic_number,
     has_independent_set,
     is_connected,
@@ -57,16 +72,37 @@ _cache: dict[tuple[int, tuple[bytes, ...] | None], list[Graph]] = {}
 
 
 def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
-    """Canonical (code, graph) pairs for all one-vertex extensions."""
+    """Canonical (code, graph) pairs for the one-vertex extensions whose new
+    vertex has the maximal (degree, neighbour degree sum) of the child."""
     out: dict[bytes, Graph] = {}
     for parent in parents:
         n = parent.n + 1
         new_bit = 1 << (n - 1)
         prows = parent.rows
         blocked = set() if patterns is None else _blocked(parent, patterns)
+        deg = [r.bit_count() for r in prows]
+        top = max(deg, default=0)
+        at = [0] * (n + 1)  # at[d]: the parent vertices of degree d
+        for v, d in enumerate(deg):
+            at[d] |= 1 << v
+        nsum = [sum(deg[u] for u in bits(r)) for r in prows]
         for mask in range(1 << (n - 1)):
             if mask in blocked:
                 continue
+            # the new vertex has degree k; a parent vertex of degree d has
+            # d + 1 in the child when it is in mask, else d
+            k = mask.bit_count()
+            if top > k or mask & at[k]:
+                continue  # a parent vertex has a larger degree
+            ties = at[k] & ~mask | at[k - 1] & mask  # at[-1] is empty
+            if ties:
+                s = k + sum(deg[v] for v in bits(mask))
+                if any(
+                    nsum[t] + (prows[t] & mask).bit_count() + (k if mask >> t & 1 else 0)
+                    > s
+                    for t in bits(ties)
+                ):
+                    continue
             rows = [r | new_bit if mask >> v & 1 else r for v, r in enumerate(prows)]
             rows.append(mask)
             g = Graph(n, rows)
@@ -111,7 +147,9 @@ def generate_graphs(
     """
     _check_order(n, patterns)
     if n == 0:
-        return [Graph(0, ())]
+        # the empty graph contains the order-0 pattern and no other
+        free = patterns is None or all(p.n for p in patterns)
+        return [Graph(0, ())] if free else []
     key_pat = None if patterns is None else tuple(
         sorted(canonical_form(p)[0] for p in patterns)
     )

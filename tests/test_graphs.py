@@ -18,6 +18,7 @@ from forbpairs.graphs import (
     max_clique_set,
     shape_report,
 )
+from forbpairs.harness import generate_graphs
 
 
 def random_graph(rng, n, p=0.5):
@@ -125,6 +126,51 @@ def test_invariants_brute_force():
         g = random_graph(rng, rng.randint(1, 7), rng.choice([0.25, 0.5, 0.75]))
         iv = invariants(g)
         assert (iv.alpha, iv.omega, iv.chi) == brute(g)
+
+
+def _brute_omega(g):
+    """Size of the largest vertex subset that is a clique, over all 2^n subsets."""
+    clique = [True] * (1 << g.n)
+    best = 0
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        rest = s ^ low
+        clique[s] = clique[rest] and g.rows[low.bit_length() - 1] & rest == rest
+        if clique[s]:
+            best = max(best, s.bit_count())
+    return best
+
+
+def _independent_partitions(g):
+    """Every partition of the vertex set into independent sets (block masks)."""
+
+    def grow(v, blocks):
+        if v == g.n:
+            yield blocks
+            return
+        for i, b in enumerate(blocks):
+            if not g.rows[v] & b:
+                yield from grow(v + 1, blocks[:i] + [b | 1 << v] + blocks[i + 1 :])
+        yield from grow(v + 1, blocks + [1 << v])
+
+    return grow(0, [])
+
+
+def _check_omega_chi(n):
+    for g in generate_graphs(n):
+        assert max_clique(g) == _brute_omega(g), g
+        assert chromatic_number(g) == min(map(len, _independent_partitions(g))), g
+
+
+def test_omega_chi_against_subsets_and_partitions():
+    """max_clique and chromatic_number on every graph with at most 7 vertices."""
+    for n in range(8):
+        _check_omega_chi(n)
+
+
+@pytest.mark.slow
+def test_omega_chi_against_subsets_and_partitions_eight():
+    _check_omega_chi(8)
 
 
 def test_chi_at_least_omega_exhaustive_small():

@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from forbpairs import catalog
-from forbpairs.canon import canonical_code
+from forbpairs.canon import canonical_code, canonical_graph
 from forbpairs.expr import graph_from_expr as G
 from forbpairs.graph6 import decode_graph6
-from forbpairs.graphs import build
+from forbpairs.graphs import Graph, build
 from forbpairs.harness import (
     KNOWN_COUNTS,
     Census,
+    _blocked,
     census,
     generate_graphs,
     hunt_counterexamples,
@@ -19,9 +20,62 @@ from forbpairs.induced import is_free
 from forbpairs.pairs import NAMED_CLASSES, PairSpec
 
 
+# the seven pairs of the benchmark's restricted workload, plus two whose
+# free classes are empty ({K1, P4}) or the edgeless graphs ({K2, P4})
+PATTERN_PAIRS = [
+    ("K1,3", "P5"),
+    ("K1,3", "Z2"),
+    ("chair", "Z1"),
+    ("2K1+K2", "co(K1+P4)"),
+    ("2K1+K2", "D"),
+    ("3K1", "K4"),
+    ("4K1", "K3"),
+    ("K1", "P4"),
+    ("K2", "P4"),
+]
+
+
 def test_counts_match_known_sequence():
-    for n in range(1, 8):
+    for n in range(1, 9):
         assert len(generate_graphs(n)) == KNOWN_COUNTS[n]
+
+
+def _unfiltered_level(parents, patterns):
+    """The next level built by canonicalising every unblocked one-vertex
+    extension of every parent, with no invariant filter."""
+    out = {}
+    for parent in parents:
+        blocked = set() if patterns is None else _blocked(parent, patterns)
+        new_bit = 1 << parent.n
+        for mask in range(new_bit):
+            if mask in blocked:
+                continue
+            rows = [r | new_bit if mask >> v & 1 else r for v, r in enumerate(parent.rows)]
+            child = Graph(parent.n + 1, rows + [mask])
+            code = canonical_code(child)
+            if code not in out:
+                out[code] = canonical_graph(child)
+    return [out[c] for c in sorted(out)]
+
+
+def test_generation_equals_unfiltered_builder():
+    """The invariant filter of `_children` loses no class and changes no
+    output: every level up to 7 equals the unfiltered builder's."""
+    for pats in [None] + [[G(s) for s in pair] for pair in PATTERN_PAIRS]:
+        level = [Graph(0, ())]
+        for n in range(1, 8):
+            level = _unfiltered_level(level, pats)
+            assert [g.rows for g in level] == [
+                g.rows for g in generate_graphs(n, pats)
+            ], (pats, n)
+
+
+def test_order_zero_honours_empty_pattern():
+    """The empty graph contains the order-0 pattern and no larger one."""
+    k0 = Graph(0, ())
+    assert not is_free(k0, [k0])
+    assert generate_graphs(0, [k0]) == []
+    assert generate_graphs(0, [G("K1"), G("K2")]) == [k0]
 
 
 def test_generation_against_labelled_bruteforce():
@@ -38,8 +92,6 @@ def test_generation_against_labelled_bruteforce():
 @pytest.mark.slow
 def test_generation_against_labelled_bruteforce_seven():
     """The same agreement over all 2^21 labelled graphs on 7 vertices."""
-    from forbpairs.graphs import Graph
-
     pairs = list(itertools.combinations(range(7), 2))
     codes = set()
     for bits in range(1 << 21):
@@ -63,17 +115,7 @@ def test_generated_graphs_are_canonical_and_sorted():
 
 
 def test_restricted_equals_filtered():
-    for pair in [
-        ("K1,3", "P5"),
-        ("K1,3", "Z2"),
-        ("chair", "Z1"),
-        ("2K1+K2", "co(K1+P4)"),
-        ("2K1+K2", "D"),
-        ("3K1", "K4"),
-        ("4K1", "K3"),
-        ("K1", "P4"),
-        ("K2", "P4"),
-    ]:
+    for pair in PATTERN_PAIRS:
         pats = [G(s) for s in pair]
         for n in range(1, 8):
             full = {canonical_code(g) for g in generate_graphs(n) if is_free(g, pats)}
