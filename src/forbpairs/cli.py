@@ -24,7 +24,7 @@ from .pairs import (
     classify_pair,
     theorem_collection,
 )
-from .perfection import is_omega_colourable, is_perfect_spgt
+from .perfection import is_perfect_spgt
 from .ramsey import THRESHOLD_NAMES, load_overrides, ramsey, threshold
 
 # one runnable example per subcommand; the test suite executes these
@@ -178,8 +178,9 @@ def _cmd_check(args) -> int:
     rc = 0
     if not (args.perfect or args.omega or args.invariants):
         args.invariants = True
-    if args.invariants:
+    if args.invariants or args.omega:
         iv = invariants(g)
+    if args.invariants:
         sh = shape_report(g)
         print(f"alpha {iv.alpha} omega {iv.omega} chi {iv.chi}")
         print(
@@ -191,8 +192,7 @@ def _cmd_check(args) -> int:
         print(cert.describe())
         rc = 0 if cert.perfect else 1
     if args.omega:
-        ok = is_omega_colourable(g)
-        iv = invariants(g)
+        ok = iv.chi == iv.omega
         print(f"{'omega-colourable' if ok else 'not omega-colourable'}; "
               f"chi={iv.chi} omega={iv.omega}")
         rc = max(rc, 0 if ok else 1)

@@ -312,79 +312,44 @@ def has_independent_set(g: Graph, k: int) -> bool:
     return independence_number(g) >= k
 
 
-def _greedy_chi_upper(g: Graph) -> tuple[int, list[int]]:
-    """DSATUR greedy colouring: (colour count, colour per vertex)."""
-    n = g.n
-    colour = [-1] * n
-    neigh_colours: list[set[int]] = [set() for _ in range(n)]
-    used = 0
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colour[u] < 0),
-            key=lambda u: (len(neigh_colours[u]), g.degree(u), -u),
-        )
-        c = 0
-        while c in neigh_colours[v]:
-            c += 1
-        colour[v] = c
-        used = max(used, c + 1)
-        m = g.rows[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            neigh_colours[u].add(c)
-    return used, colour
-
-
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number (branch and bound, clique lower bound)."""
-    if g.n == 0:
-        return 0
-    if g.edge_count() == 0:
-        return 1
-    lower = max_clique(g)
-    upper, _ = _greedy_chi_upper(g)
-    if lower == upper:
-        return lower
-    rows = g.rows
+    """Exact chromatic number by branch and bound over colour-class masks.
+
+    Vertices are taken by decreasing degree; each goes into every class
+    that holds none of its neighbours, or into one new class while that
+    can still beat the best colouring found.  The first descent is a
+    greedy colouring, and the search stops once it meets the clique number.
+    """
     n = g.n
-    best = upper
+    if n == 0:
+        return 0
+    rows = g.rows
+    lower = max_clique(g)
+    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
+    cls: list[int] = []  # cls[c]: the vertices of colour c, as a bit mask
+    best = n + 1
 
-    # branch on vertices in a fixed degree-descending order, assigning each
-    # either an existing colour class or one new class
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    colour = [-1] * n
-
-    def bb(idx: int, used: int):
+    def bb(idx: int) -> None:
         nonlocal best
-        if used >= best:
-            return
         if idx == n:
-            best = used
+            best = len(cls)
             return
         v = order[idx]
-        seen_new = False
-        for c in range(used + 1):
-            if c == used and seen_new:
-                break
-            if c == used:
-                seen_new = True
-            ok = True
-            m = rows[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if colour[u] == c:
-                    ok = False
-                    break
-            if ok:
-                colour[v] = c
-                bb(idx + 1, max(used, c + 1))
-                colour[v] = -1
-                if best <= lower:
+        r = rows[v]
+        bit = 1 << v
+        for c in range(len(cls)):
+            if not r & cls[c]:
+                cls[c] |= bit
+                bb(idx + 1)
+                cls[c] ^= bit
+                if best == lower:
                     return
+        if len(cls) + 1 < best:
+            cls.append(bit)
+            bb(idx + 1)
+            cls.pop()
 
-    bb(0, 0)
+    bb(0)
     return best
 
 

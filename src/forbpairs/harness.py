@@ -11,8 +11,10 @@ A child of a free parent can contain a pattern only through its new
 vertex, so freeness is settled once per parent: `induced.anchored_copies`
 lists the parent's copies of each pattern less one vertex, and every
 neighbourhood mask of the new vertex that completes one is skipped before
-a graph is built or a canonical form computed.  The full matcher is not on
-this path; it serves `verify --full` and re-validates counterexamples.
+a graph is built or a canonical form computed.  A mask is tested against
+the copies only once it passes the degree test of the filter below, which
+rejects most masks more cheaply.  The full matcher is not on this path; it
+serves `verify --full` and re-validates counterexamples.
 
 Most children are discarded before their canonical form is computed, by a
 canonical-deletion filter after McKay ("Isomorph-free exhaustive
@@ -79,7 +81,11 @@ def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
         n = parent.n + 1
         new_bit = 1 << (n - 1)
         prows = parent.rows
-        blocked = set() if patterns is None else _blocked(parent, patterns)
+        # the anchored pairs (S, R), as the R values of each S
+        by_s: dict[int, set[int]] = {}
+        for cs, cr in () if patterns is None else anchored_copies(parent, patterns):
+            by_s.setdefault(cs, set()).add(cr)
+        copies = list(by_s.items())
         deg = [r.bit_count() for r in prows]
         top = max(deg, default=0)
         at = [0] * (n + 1)  # at[d]: the parent vertices of degree d
@@ -87,44 +93,32 @@ def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
             at[d] |= 1 << v
         nsum = [sum(deg[u] for u in bits(r)) for r in prows]
         for mask in range(1 << (n - 1)):
-            if mask in blocked:
-                continue
             # the new vertex has degree k; a parent vertex of degree d has
             # d + 1 in the child when it is in mask, else d
             k = mask.bit_count()
             if top > k or mask & at[k]:
                 continue  # a parent vertex has a larger degree
-            ties = at[k] & ~mask | at[k - 1] & mask  # at[-1] is empty
-            if ties:
-                s = k + sum(deg[v] for v in bits(mask))
-                if any(
-                    nsum[t] + (prows[t] & mask).bit_count() + (k if mask >> t & 1 else 0)
-                    > s
-                    for t in bits(ties)
-                ):
-                    continue
-            rows = [r | new_bit if mask >> v & 1 else r for v, r in enumerate(prows)]
-            rows.append(mask)
-            g = Graph(n, rows)
-            code, perm = canonical_form(g)
-            if code not in out:
-                out[code] = relabel(g, perm)
-    return out
-
-
-def _blocked(parent: Graph, patterns: Sequence[Graph]) -> set[int]:
-    """Neighbourhoods of the new vertex that complete a pattern copy: every
-    mask with mask & S == R for a pair of `anchored_copies`."""
-    full = (1 << parent.n) - 1
-    out: set[int] = set()
-    for s, r in anchored_copies(parent, patterns):
-        free = full ^ s
-        sub = free
-        while True:
-            out.add(r | sub)
-            if not sub:
-                break
-            sub = (sub - 1) & free
+            # the pair test costs less than the tie test below, and most
+            # masks that pass the degree test complete a pattern copy
+            for cs, rs in copies:
+                if mask & cs in rs:
+                    break  # the new vertex completes a pattern copy
+            else:
+                ties = at[k] & ~mask | at[k - 1] & mask  # at[-1] is empty
+                if ties:
+                    s = k + sum(deg[v] for v in bits(mask))
+                    if any(
+                        nsum[t] + (prows[t] & mask).bit_count() + (k if mask >> t & 1 else 0)
+                        > s
+                        for t in bits(ties)
+                    ):
+                        continue
+                rows = [r | new_bit if mask >> v & 1 else r for v, r in enumerate(prows)]
+                rows.append(mask)
+                g = Graph(n, rows)
+                code, perm = canonical_form(g)
+                if code not in out:
+                    out[code] = relabel(g, perm)
     return out
 
 

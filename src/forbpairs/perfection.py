@@ -4,6 +4,9 @@ The structural oracle looks for odd holes in the graph and its complement
 (the forbidden configurations of the strong perfect graph theorem); the
 definitional oracle checks chi = omega on every induced subgraph.  Keeping
 both lets the test suite cross-validate them exhaustively on small orders.
+The definitional oracle calls only `graphs.chromatic_number` and
+`graphs.max_clique` and keeps no cache, so it shares no code with `canon`,
+which generation and the fast path rely on.
 """
 
 from __future__ import annotations
@@ -127,23 +130,6 @@ def is_perfect_spgt(g: Graph) -> PerfectnessCertificate:
     return PerfectnessCertificate("perfect")
 
 
-_chi_omega_cache: dict[bytes, tuple[int, int]] = {}
-_CACHE_CAP = 400000
-
-
-def _chi_omega(sub: Graph) -> tuple[int, int]:
-    from .canon import canonical_code
-
-    key = canonical_code(sub)
-    hit = _chi_omega_cache.get(key)
-    if hit is None:
-        if len(_chi_omega_cache) >= _CACHE_CAP:
-            _chi_omega_cache.clear()
-        hit = (chromatic_number(sub), max_clique(sub))
-        _chi_omega_cache[key] = hit
-    return hit
-
-
 def is_perfect_definition(g: Graph) -> PerfectnessCertificate:
     """Perfectness by checking chi = omega on every induced subgraph.
 
@@ -160,7 +146,7 @@ def is_perfect_definition(g: Graph) -> PerfectnessCertificate:
         if mask.bit_count() <= 4:
             continue
         sub = induced_on_mask(g, mask)
-        chi, omega = _chi_omega(sub)
+        chi, omega = chromatic_number(sub), max_clique(sub)
         if chi > omega:
             return PerfectnessCertificate(
                 "imperfect", "chi_gt_omega", tuple(bits(mask)), chi=chi, omega=omega

@@ -217,8 +217,24 @@ def test_max_clique_set_is_lex_smallest():
             break
 
 
+def _mycielski(g):
+    """Mycielski's construction: a shadow u' of every vertex u, adjacent to
+    the neighbours of u, and one apex adjacent to every shadow.  It keeps
+    the graph triangle-free and raises chi by one."""
+    n = g.n
+    edges = g.edges()
+    shadows = [(u + n, v) for u, v in edges] + [(v + n, u) for u, v in edges]
+    return build(2 * n + 1, edges + shadows + [(u + n, 2 * n) for u in range(n)])
+
+
 def test_chromatic_known_values():
     assert chromatic_number(G("K12")) == 12
     assert chromatic_number(G("C9")) == 3
     assert chromatic_number(G("K3,3,3")) == 3
     assert chromatic_number(G("co(C9)")) == 5
+    assert chromatic_number(G("co(C11)")) == 6
+    # chi - omega >= 2 above 8 vertices: the Groetzsch graph M4 and M5
+    m4 = _mycielski(G("C5"))
+    m5 = _mycielski(m4)
+    assert (m4.n, max_clique(m4), chromatic_number(m4)) == (11, 2, 4)
+    assert (m5.n, max_clique(m5), chromatic_number(m5)) == (23, 2, 5)

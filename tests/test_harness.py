@@ -10,7 +10,6 @@ from forbpairs.graphs import Graph, build
 from forbpairs.harness import (
     KNOWN_COUNTS,
     Census,
-    _blocked,
     census,
     generate_graphs,
     hunt_counterexamples,
@@ -41,17 +40,17 @@ def test_counts_match_known_sequence():
 
 
 def _unfiltered_level(parents, patterns):
-    """The next level built by canonicalising every unblocked one-vertex
-    extension of every parent, with no invariant filter."""
+    """The next level built by canonicalising every one-vertex extension of
+    every parent that the full matcher finds {patterns}-free, with no
+    invariant filter and no anchored pattern copies."""
     out = {}
     for parent in parents:
-        blocked = set() if patterns is None else _blocked(parent, patterns)
         new_bit = 1 << parent.n
         for mask in range(new_bit):
-            if mask in blocked:
-                continue
             rows = [r | new_bit if mask >> v & 1 else r for v, r in enumerate(parent.rows)]
             child = Graph(parent.n + 1, rows + [mask])
+            if patterns is not None and not is_free(child, patterns):
+                continue
             code = canonical_code(child)
             if code not in out:
                 out[code] = canonical_graph(child)
