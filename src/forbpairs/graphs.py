@@ -316,9 +316,9 @@ def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by branch and bound over colour-class masks.
 
     Vertices are taken by decreasing degree; each goes into every class
-    that holds none of its neighbours, or into one new class while that
-    can still beat the best colouring found.  The first descent is a
-    greedy colouring, and the search stops once it meets the clique number.
+    that holds none of its neighbours, or into a new class.  A partial
+    colouring with as many classes as the best one found is cut off; the
+    first descent is greedy, and the search stops at the clique number.
     """
     n = g.n
     if n == 0:
@@ -331,6 +331,8 @@ def chromatic_number(g: Graph) -> int:
 
     def bb(idx: int) -> None:
         nonlocal best
+        if len(cls) >= best or best == lower:
+            return
         if idx == n:
             best = len(cls)
             return
@@ -342,12 +344,9 @@ def chromatic_number(g: Graph) -> int:
                 cls[c] |= bit
                 bb(idx + 1)
                 cls[c] ^= bit
-                if best == lower:
-                    return
-        if len(cls) + 1 < best:
-            cls.append(bit)
-            bb(idx + 1)
-            cls.pop()
+        cls.append(bit)
+        bb(idx + 1)
+        cls.pop()
 
     bb(0)
     return best

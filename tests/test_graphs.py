@@ -238,3 +238,7 @@ def test_chromatic_known_values():
     m5 = _mycielski(m4)
     assert (m4.n, max_clique(m4), chromatic_number(m4)) == (11, 2, 4)
     assert (m5.n, max_clique(m5), chromatic_number(m5)) == (23, 2, 5)
+    # trailing low-degree vertices fit every class: a colouring as large as
+    # the best one found must be cut off, or these take L^k placements
+    assert chromatic_number(build(30, G("C5").edges())) == 3
+    assert chromatic_number(disjoint_union(m4, build(19, []))) == 4
