@@ -96,6 +96,10 @@ def gem() -> Graph:
     return complement(disjoint_union(empty_graph(1), path(4)))
 
 
+# {2K1+K2, gem}-free graphs with an induced C5 are blow-ups of small bases
+BLOWUP_PAIR = (k_k1_plus_k2(2), gem())
+
+
 def co_k3_p4() -> Graph:
     return complement(disjoint_union(complete(3), path(4)))
 

@@ -16,7 +16,6 @@ from .canon import canonical_graph
 from .expr import ExprError, graph_from_expr
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .graphs import Graph, bits, invariants, shape_report
-from .induced import contains_induced
 from .pairs import (
     COLLECTIONS,
     NAMED_CLASSES,
@@ -233,14 +232,14 @@ def _cmd_verify(args) -> int:
 def _cmd_hunt(args) -> int:
     x = _graph_arg(args.pair[0], args.graph6)
     y = _graph_arg(args.pair[1], args.graph6)
-    found = harness.hunt_counterexamples(
+    found = harness.verify_universal(
         PairSpec(x, y),
         NAMED_CLASSES[args.class_name],
         args.prop,
         args.nmax,
         class_name=args.class_name,
         threads=args.threads,
-    )
+    ).counterexamples
     print(f"counterexamples: {len(found)}")
     for ce in found:
         print(f"counterexample\t{ce.graph6}\t{args.prop}\t{ce.certificate}")

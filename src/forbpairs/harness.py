@@ -35,6 +35,10 @@ chunks of the parents in a process pool, so thread count never changes
 any output.  `generate_upto` is the one walk over orders, and it checks
 the order limit before generating anything.
 
+Levels sit in one bounded LRU cache, `_level`, keyed by the order, the
+patterns up to isomorphism and the thread count; each `generate_graphs`
+call returns a new list, which the caller owns.
+
 Report schema (machine-readable lines)::
 
     counterexample\t<graph6>\t<property>\t<certificate>
@@ -43,7 +47,7 @@ Report schema (machine-readable lines)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
 
 from . import catalog
@@ -70,7 +74,9 @@ RESTRICTED_LIMIT = 12  # hereditary pattern-restricted generation may go higher
 # number of graphs per order, up to isomorphism (checked in tests)
 KNOWN_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]
 
-_cache: dict[tuple[int, tuple[bytes, ...] | None], list[Graph]] = {}
+# a walk reads level n - 1 and a repeated walk over one class (a verify per
+# property) orders 0..n_max, at most 13 levels; 64 hold four such walks
+LEVEL_CACHE_SIZE = 64
 
 
 def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
@@ -137,20 +143,30 @@ def generate_graphs(
     """All graphs on n vertices up to isomorphism, canonically labelled.
 
     With patterns given, only {patterns}-free graphs are produced (and the
-    hereditary restriction also prunes the generation itself).
+    hereditary restriction also prunes the generation itself).  The list
+    is the caller's own: changing it leaves the level cache intact.
     """
     _check_order(n, patterns)
+    key = None
+    if patterns is not None:
+        # isomorphic pattern lists build, and share, one cache entry
+        forms: dict[bytes, Graph] = {}
+        for p in patterns:
+            code, perm = canonical_form(p)
+            forms[code] = relabel(p, perm)
+        key = tuple(forms[c] for c in sorted(forms))
+    return list(_level(n, key, threads))
+
+
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+def _level(n: int, patterns: tuple[Graph, ...] | None, threads: int) -> tuple[Graph, ...]:
+    """Level n by canonical code, built from level n - 1; patterns is the
+    canonical key that `generate_graphs` makes."""
     if n == 0:
         # the empty graph contains the order-0 pattern and no other
         free = patterns is None or all(p.n for p in patterns)
-        return [Graph(0, ())] if free else []
-    key_pat = None if patterns is None else tuple(
-        sorted(canonical_form(p)[0] for p in patterns)
-    )
-    hit = _cache.get((n, key_pat))
-    if hit is not None:
-        return hit
-    parents = generate_graphs(n - 1, patterns, threads)
+        return (Graph(0, ()),) if free else ()
+    parents = _level(n - 1, patterns, threads)
     if threads > 1 and len(parents) >= 64:
         import multiprocessing
 
@@ -163,9 +179,7 @@ def generate_graphs(
                 out.update(part)
     else:
         out = _children(parents, patterns)
-    result = [out[c] for c in sorted(out)]
-    _cache[(n, key_pat)] = result
-    return result
+    return tuple(out[c] for c in sorted(out))
 
 
 def generate_upto(
@@ -284,22 +298,15 @@ def _revalidate(g: Graph, cls: ClassSpec, patterns, prop: str):
         raise AssertionError("counterexample satisfies the property on re-check")
 
 
-def hunt_counterexamples(
-    pair: PairSpec,
-    cls: ClassSpec,
-    prop: str,
-    n_max: int,
-    class_name: str = "?",
-    threads: int = 1,
-) -> list[Counterexample]:
-    """All violating graphs up to n_max, with certificates."""
-    return verify_universal(
-        pair, cls, prop, n_max, class_name=class_name, threads=threads
-    ).counterexamples
-
-
 # ---------------------------------------------------------------------------
 # censuses
+
+_C5 = catalog.cycle(5)
+
+
+def _contains_c5(g: Graph) -> bool:
+    return contains_induced(g, _C5) is not None
+
 
 PREDICATES: dict[str, Callable[[Graph], bool]] = {
     "connected": is_connected,
@@ -308,15 +315,8 @@ PREDICATES: dict[str, Callable[[Graph], bool]] = {
     "not-odd-cycle": lambda g: not (g.n % 2 == 1 and is_cycle(g)),
     "alpha>=3": lambda g: has_independent_set(g, 3),
     "alpha=3": lambda g: has_independent_set(g, 3) and not has_independent_set(g, 4),
-    "contains-C5": lambda g: _contains_c5(g),
+    "contains-C5": _contains_c5,
 }
-
-
-_C5 = catalog.cycle(5)
-
-
-def _contains_c5(g: Graph) -> bool:
-    return contains_induced(g, _C5) is not None
 
 
 @dataclass
@@ -363,7 +363,7 @@ def census(
 
 def derive_blowup_catalog(n_max: int, threads: int = 1) -> Census:
     """Twin-collapsed bases of all {2K1 u K2, gem}-free graphs with a C5."""
-    patterns = [catalog.k_k1_plus_k2(2), catalog.gem()]
+    patterns = catalog.BLOWUP_PAIR
     seen: dict[bytes, tuple[int, str]] = {}
     for g in generate_upto(n_max, patterns, threads):
         if not _contains_c5(g):

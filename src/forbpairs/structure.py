@@ -31,7 +31,6 @@ from .graphs import (
 from .induced import contains_induced, first_violation
 from .ramsey import threshold
 from .twins import TwinCollapse, twin_collapse
-from .twins import blow_up as blow_up  # re-exported: inverse of twin_collapse
 
 TRIANGLE_FREE = "triangle_free"
 COMPLETE_MULTIPARTITE = "complete_multipartite"
@@ -122,13 +121,6 @@ class BlowupDecomposition:
     base: Graph
 
 
-_BLOWUP_PATTERNS = ("2K1+K2", "co(K1+P4)")
-
-
-def _blowup_patterns() -> list[Graph]:
-    return [catalog.k_k1_plus_k2(2), catalog.gem()]
-
-
 def blowup_classify(g: Graph) -> BlowupDecomposition:
     """Blue/red structure of a {2K1 u K2, gem}-free graph around a C5.
 
@@ -136,11 +128,9 @@ def blowup_classify(g: Graph) -> BlowupDecomposition:
     a K2 / K1 u K2 (red).  The lexicographically least C5 is used; the
     classification itself is independent of that choice.
     """
-    hit = first_violation(g, _blowup_patterns())
+    hit = first_violation(g, catalog.BLOWUP_PAIR)
     if hit is not None:
-        raise PreconditionError(
-            f"graph is not {{{', '.join(_BLOWUP_PATTERNS)}}}-free", hit
-        )
+        raise PreconditionError("graph is not {2K1+K2, co(K1+P4)}-free", hit)
     c5 = _least_c5(g)
     if c5 is None:
         raise PreconditionError("graph contains no induced C5")

@@ -27,7 +27,6 @@ from forbpairs.harness import (
     derive_blowup_catalog,
     generate_graphs,
     generate_upto,
-    hunt_counterexamples,
     verify_universal,
 )
 from forbpairs.induced import contains_induced, induced_closure, is_free
@@ -173,19 +172,19 @@ def test_c07_spot_checks():
 
 
 def test_c08a_c7_hunt():
-    found = hunt_counterexamples(PairSpec(G("K1,3"), G("K3")),
-                                 NAMED_CLASSES["Gcalpha"], "omega", 7)
+    found = verify_universal(PairSpec(G("K1,3"), G("K3")),
+                             NAMED_CLASSES["Gcalpha"], "omega", 7).counterexamples
     assert len(found) == 1 and isomorphic(decode_graph6(found[0].graph6), G("C7"))
-    found9 = hunt_counterexamples(PairSpec(G("K1,3"), G("K3")),
-                                  NAMED_CLASSES["Gcalpha"], "omega", 9)
+    found9 = verify_universal(PairSpec(G("K1,3"), G("K3")),
+                              NAMED_CLASSES["Gcalpha"], "omega", 9).counterexamples
     assert {c.order for c in found9} == {7, 9}
     assert any(isomorphic(decode_graph6(c.graph6), G("C9")) for c in found9)
     _report("c08a hunt", "C7 at n=7; C7 and C9 at n<=9")
 
 
 def test_c08b_co_c7_hunt():
-    found = hunt_counterexamples(PairSpec(G("K1,3"), G("2K2")),
-                                 NAMED_CLASSES["Gco"], "omega", 7)
+    found = verify_universal(PairSpec(G("K1,3"), G("2K2")),
+                             NAMED_CLASSES["Gco"], "omega", 7).counterexamples
     assert any(isomorphic(decode_graph6(c.graph6), G("co(C7)")) for c in found)
     _report("c08b hunt", f"co(C7) among {len(found)} witnesses at n<=7")
 
@@ -198,8 +197,8 @@ def test_c08c_observation_witnesses():
     ]
     sizes = []
     for (a, b), cls in conditions:
-        found = hunt_counterexamples(PairSpec(G(a), G(b)), NAMED_CLASSES[cls],
-                                     "perfect", 7)
+        found = verify_universal(PairSpec(G(a), G(b)), NAMED_CLASSES[cls],
+                                 "perfect", 7).counterexamples
         assert found, f"no witness for {{{a},{b}}} in {cls} at n<=7"
         sizes.append(min(c.order for c in found))
     _report("c08c witnesses", f"three conditions witnessed at orders {sizes}")
@@ -224,8 +223,8 @@ def test_c08d_sampled_pairs_outside_o4plus():
         pair = PairSpec(small[i], small[j])
         found = []
         for n_cap in range(5, 11):
-            found = hunt_counterexamples(pair, NAMED_CLASSES["Gcoalpha"],
-                                         "omega", n_cap)
+            found = verify_universal(pair, NAMED_CLASSES["Gcoalpha"],
+                                     "omega", n_cap).counterexamples
             if found:
                 break
         assert found, (

@@ -12,7 +12,6 @@ from forbpairs.harness import (
     Census,
     census,
     generate_graphs,
-    hunt_counterexamples,
     verify_universal,
 )
 from forbpairs.induced import is_free
@@ -136,7 +135,7 @@ def test_limits_checked_before_generating(monkeypatch):
     def no_levels(*args, **kwargs):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(harness, "_cache", {})
+    harness._level.cache_clear()
     monkeypatch.setattr(harness, "_children", no_levels)
     pair = PairSpec(G("K1,3"), G("P5"))
     with pytest.raises(ValueError, match="free class"):
@@ -191,21 +190,57 @@ def test_verify_full_matches_restricted():
 
 
 def test_parallel_equals_sequential():
-    pats = [G("K1,3"), G("K3")]
+    # levels 6 and 7 hold 74 and 217 graphs, at least the 64 parents that
+    # send a level to the pool
+    pats = [G("K1,3"), G("P5")]
     seq = generate_graphs(8, pats, threads=1)
-    # drop the cached entry so the parallel path actually runs
-    from forbpairs import harness
-
-    key = (8, tuple(sorted(canonical_code(p) for p in pats)))
-    harness._cache.pop(key, None)
     par = generate_graphs(8, pats, threads=2)
     assert [g.rows for g in seq] == [g.rows for g in par]
 
 
+def test_returned_levels_are_the_callers_own():
+    """Changing a returned list leaves the cached levels intact."""
+    generate_graphs(4).clear()
+    generate_graphs(4).append(Graph(0, ()))
+    assert len(generate_graphs(4)) == KNOWN_COUNTS[4]
+    assert len(generate_graphs(5)) == KNOWN_COUNTS[5]
+
+
+def test_isomorphic_pattern_lists_share_a_level():
+    from forbpairs import harness
+    from forbpairs.graphs import relabel
+
+    chair = G("chair")
+    moved = relabel(chair, [4, 2, 3, 0, 1])
+    assert moved.rows != chair.rows
+    for pats, same in [
+        ([G("K3"), G("3K1")], [G("3K1"), G("K3")]),
+        ([chair, G("K3")], [G("K3"), moved, chair]),
+    ]:
+        first = generate_graphs(6, pats)
+        built = harness._level.cache_info().misses
+        assert generate_graphs(6, same) == first
+        assert harness._level.cache_info().misses == built
+
+
+def test_level_cache_is_bounded():
+    from forbpairs import harness
+
+    bound = harness.LEVEL_CACHE_SIZE
+    assert harness._level.cache_info().maxsize == bound
+    small = [g for n in range(1, 5) for g in generate_graphs(n)]
+    first = generate_graphs(4, [small[-1]])
+    for p in small:  # 18 classes of 5 levels each, more than the bound
+        generate_graphs(4, [p])
+        assert harness._level.cache_info().currsize <= bound
+    assert harness._level.cache_info().currsize == bound
+    assert generate_graphs(4, [small[-1]]) == first
+
+
 def test_hunt_smallest_witnesses():
-    found = hunt_counterexamples(
+    found = verify_universal(
         PairSpec(G("4K1"), G("D")), NAMED_CLASSES["Goalpha"], "perfect", 6
-    )
+    ).counterexamples
     assert found, "expected a counterexample at order six"
     from forbpairs.canon import isomorphic
 
