@@ -20,8 +20,9 @@ from .graphs import Graph, relabel
 
 
 def _canon(n: int, rows: Sequence[int], colors: Sequence[int] | None):
+    """(code, vertex order, automorphisms found between equal-code leaves)."""
     if n == 0:
-        return b"\x00", ()
+        return b"\x00", (), []
 
     if colors is None:
         cells = [(1 << n) - 1]
@@ -164,12 +165,36 @@ def _canon(n: int, rows: Sequence[int], colors: Sequence[int] | None):
     for i, bits in enumerate(best_code):
         acc = acc << i | bits
     payload = acc.to_bytes((total_bits + 7) // 8, "big") if total_bits else b""
-    return bytes([n]) + header + payload, tuple(best_perm)
+    return bytes([n]) + header + payload, tuple(best_perm), auts
 
 
 def canonical_form(g: Graph, colors: Sequence[int] | None = None) -> tuple[bytes, tuple[int, ...]]:
     """Canonical code and the vertex order realising it (position -> vertex)."""
-    return _canon(g.n, g.rows, colors)
+    code, perm, _ = _canon(g.n, g.rows, colors)
+    return code, perm
+
+
+def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Permutations (vertex -> image) that generate the automorphism group.
+
+    They are the automorphisms the canonical search records between leaves
+    of equal code, plus the transpositions that join each twin class in a
+    chain: the search merges twin candidates without visiting their leaves,
+    so the transpositions stand in for the automorphisms it skipped.  Every
+    other subtree is pruned by a recorded automorphism or holds no leaf of
+    the best code, so together they generate the whole group.
+    """
+    n, rows = g.n, g.rows
+    gens = list(_canon(n, rows, None)[2])
+    for v in range(n):
+        for u in range(v - 1, -1, -1):
+            # twins: equal rows (non-adjacent) or rows equal up to the pair
+            if rows[u] == rows[v] or rows[u] ^ rows[v] == 1 << u | 1 << v:
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                gens.append(tuple(swap))
+                break
+    return tuple(gens)
 
 
 def canonical_code(g: Graph, colors: Sequence[int] | None = None) -> bytes:

@@ -312,19 +312,21 @@ def has_independent_set(g: Graph, k: int) -> bool:
     return independence_number(g) >= k
 
 
-def chromatic_number(g: Graph) -> int:
+def chromatic_number(g: Graph, *, omega: int | None = None) -> int:
     """Exact chromatic number by branch and bound over colour-class masks.
 
     Vertices are taken by decreasing degree; each goes into every class
     that holds none of its neighbours, or into a new class.  A partial
     colouring with as many classes as the best one found is cut off; the
     first descent is greedy, and the search stops at the clique number.
+    A caller that holds the clique number passes it as omega, and it is
+    not computed again.
     """
     n = g.n
     if n == 0:
         return 0
     rows = g.rows
-    lower = max_clique(g)
+    lower = max_clique(g) if omega is None else omega
     order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
     cls: list[int] = []  # cls[c]: the vertices of colour c, as a bit mask
     best = n + 1
@@ -354,4 +356,6 @@ def chromatic_number(g: Graph) -> int:
 
 def invariants(g: Graph) -> Invariants:
     om = max_clique(g)
-    return Invariants(alpha=independence_number(g), omega=om, chi=chromatic_number(g))
+    return Invariants(
+        alpha=independence_number(g), omega=om, chi=chromatic_number(g, omega=om)
+    )

@@ -47,7 +47,8 @@ class PerfectnessCertificate:
             return _is_chordless_odd_cycle(side, self.vertices)
         if self.kind == "chi_gt_omega":
             sub = induced_on_mask(g, sum(1 << v for v in self.vertices))
-            return chromatic_number(sub) > max_clique(sub)
+            omega = max_clique(sub)
+            return chromatic_number(sub, omega=omega) > omega
         return False
 
     def describe(self) -> str:
@@ -146,7 +147,8 @@ def is_perfect_definition(g: Graph) -> PerfectnessCertificate:
         if mask.bit_count() <= 4:
             continue
         sub = induced_on_mask(g, mask)
-        chi, omega = chromatic_number(sub), max_clique(sub)
+        omega = max_clique(sub)
+        chi = chromatic_number(sub, omega=omega)
         if chi > omega:
             return PerfectnessCertificate(
                 "imperfect", "chi_gt_omega", tuple(bits(mask)), chi=chi, omega=omega
@@ -155,4 +157,5 @@ def is_perfect_definition(g: Graph) -> PerfectnessCertificate:
 
 
 def is_omega_colourable(g: Graph) -> bool:
-    return chromatic_number(g) == max_clique(g)
+    omega = max_clique(g)
+    return chromatic_number(g, omega=omega) == omega

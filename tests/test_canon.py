@@ -1,9 +1,18 @@
 import itertools
 import random
 
-from forbpairs.canon import canonical_code, canonical_form, canonical_graph, isomorphic
+import pytest
+
+from forbpairs.canon import (
+    automorphism_generators,
+    canonical_code,
+    canonical_form,
+    canonical_graph,
+    isomorphic,
+)
 from forbpairs.expr import graph_from_expr as G
 from forbpairs.graphs import build, complement, relabel
+from forbpairs.harness import generate_graphs
 
 
 def brute_isomorphic(g, h):
@@ -77,3 +86,48 @@ def test_coloured_codes_distinguish_colourings():
     leaf1 = canonical_code(g, colors=[1, 0, 0])
     leaf2 = canonical_code(g, colors=[0, 0, 1])
     assert leaf1 == leaf2
+
+
+def _generated_group(n, gens):
+    """The closure of gens under composition, as vertex -> image tuples."""
+    group = frontier = {tuple(range(n))}
+    while frontier:
+        frontier = {tuple(gamma[x] for x in p) for p in frontier for gamma in gens}
+        frontier -= group
+        group = group | frontier
+    return group
+
+
+def _brute_automorphisms(g):
+    """Every permutation of the n! that maps each row onto the image's row."""
+    rows = g.rows
+    return {
+        p
+        for p in itertools.permutations(range(g.n))
+        if all(
+            sum(1 << p[v] for v in range(g.n) if rows[u] >> v & 1) == rows[p[u]]
+            for u in range(g.n)
+        )
+    }
+
+
+def _check_automorphism_generators(n, rng):
+    for g in generate_graphs(n):
+        p = list(range(n))
+        rng.shuffle(p)
+        for h in (g, relabel(g, p)):
+            gens = automorphism_generators(h)
+            assert _generated_group(n, gens) == _brute_automorphisms(h), h
+
+
+def test_automorphism_generators_generate_the_group():
+    """The generators give exactly the automorphism group, for every graph
+    on at most 6 vertices, canonically and randomly labelled."""
+    rng = random.Random(3)
+    for n in range(7):
+        _check_automorphism_generators(n, rng)
+
+
+@pytest.mark.slow
+def test_automorphism_generators_generate_the_group_seven():
+    _check_automorphism_generators(7, random.Random(4))

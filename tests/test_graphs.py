@@ -158,8 +158,10 @@ def _independent_partitions(g):
 
 def _check_omega_chi(n):
     for g in generate_graphs(n):
-        assert max_clique(g) == _brute_omega(g), g
-        assert chromatic_number(g) == min(map(len, _independent_partitions(g))), g
+        omega = max_clique(g)
+        assert omega == _brute_omega(g), g
+        chi = min(map(len, _independent_partitions(g)))
+        assert chromatic_number(g) == chromatic_number(g, omega=omega) == chi, g
 
 
 def test_omega_chi_against_subsets_and_partitions():

@@ -237,6 +237,51 @@ def test_level_cache_is_bounded():
     assert generate_graphs(4, [small[-1]]) == first
 
 
+def test_child_caches_are_bounded():
+    from forbpairs import harness
+
+    caches = [
+        (harness._extend, harness.EXTEND_CACHE_SIZE),
+        (harness._mask_images, harness.PARENT_CACHE_SIZE),
+    ]
+    harness._level.cache_clear()
+    for cache, bound in caches:
+        assert cache.cache_info().maxsize == bound
+        cache.cache_clear()
+    for n in range(1, 9):
+        generate_graphs(n)
+        for cache, bound in caches:
+            assert cache.cache_info().currsize <= bound
+    # order 8 alone canonicalises more children, and reads more parents,
+    # than the bounds hold
+    for cache, bound in caches:
+        assert cache.cache_info().currsize == bound
+
+
+def test_levels_do_not_depend_on_cache_state():
+    """The nine classes' levels up to 7 are the same built with every cache
+    empty as built from children and parent symmetries cached (and partly
+    evicted) by the classes in reverse order."""
+    from forbpairs import harness
+
+    def clear():
+        for cache in (harness._level, harness._extend, harness._mask_images):
+            cache.cache_clear()
+
+    classes = [[G(s) for s in pair] for pair in PATTERN_PAIRS]
+    cold = []
+    for pats in classes:
+        clear()
+        cold.append([generate_graphs(n, pats) for n in range(1, 8)])
+    clear()
+    for pats in reversed(classes):
+        for n in range(1, 8):
+            generate_graphs(n, pats)
+    harness._level.cache_clear()
+    warm = [[generate_graphs(n, pats) for n in range(1, 8)] for pats in classes]
+    assert warm == cold
+
+
 def test_hunt_smallest_witnesses():
     found = verify_universal(
         PairSpec(G("4K1"), G("D")), NAMED_CLASSES["Goalpha"], "perfect", 6
