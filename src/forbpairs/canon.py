@@ -6,10 +6,6 @@ graphs are isomorphic exactly when their codes agree.  Pruning uses prefix
 comparison against the best leaf and orbit merging under automorphisms
 discovered from equal-code leaves; both prunings only skip subtrees whose
 leaf codes are provably already represented, so the minimum is unaffected.
-
-An optional vertex colouring restricts the search to colour-preserving
-orderings; the colour sequence is folded into the code so that coloured
-graphs compare correctly across calls.
 """
 
 from __future__ import annotations
@@ -19,26 +15,12 @@ from typing import Sequence
 from .graphs import Graph, relabel
 
 
-def _canon(n: int, rows: Sequence[int], colors: Sequence[int] | None):
+def _canon(n: int, rows: Sequence[int]):
     """(code, vertex order, automorphisms found between equal-code leaves)."""
     if n == 0:
         return b"\x00", (), []
 
-    if colors is None:
-        cells = [(1 << n) - 1]
-        header = b""
-    else:
-        if len(colors) != n:
-            raise ValueError("colour sequence length must equal vertex count")
-        groups: dict[int, int] = {}
-        for v, c in enumerate(colors):
-            groups[c] = groups.get(c, 0) | 1 << v
-        cells = [groups[c] for c in sorted(groups)]
-        header = b"".join(
-            int(c).to_bytes(2, "big")
-            for c in sorted(colors)
-        )
-
+    cells = [(1 << n) - 1]
     best_code: tuple[int, ...] | None = None
     best_perm: list[int] | None = None
     auts: list[tuple[int, ...]] = []
@@ -165,12 +147,12 @@ def _canon(n: int, rows: Sequence[int], colors: Sequence[int] | None):
     for i, bits in enumerate(best_code):
         acc = acc << i | bits
     payload = acc.to_bytes((total_bits + 7) // 8, "big") if total_bits else b""
-    return bytes([n]) + header + payload, tuple(best_perm), auts
+    return bytes([n]) + payload, tuple(best_perm), auts
 
 
-def canonical_form(g: Graph, colors: Sequence[int] | None = None) -> tuple[bytes, tuple[int, ...]]:
+def canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
     """Canonical code and the vertex order realising it (position -> vertex)."""
-    code, perm, _ = _canon(g.n, g.rows, colors)
+    code, perm, _ = _canon(g.n, g.rows)
     return code, perm
 
 
@@ -185,7 +167,7 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     the best code, so together they generate the whole group.
     """
     n, rows = g.n, g.rows
-    gens = list(_canon(n, rows, None)[2])
+    gens = list(_canon(n, rows)[2])
     for v in range(n):
         for u in range(v - 1, -1, -1):
             # twins: equal rows (non-adjacent) or rows equal up to the pair
@@ -197,8 +179,8 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(gens)
 
 
-def canonical_code(g: Graph, colors: Sequence[int] | None = None) -> bytes:
-    return _canon(g.n, g.rows, colors)[0]
+def canonical_code(g: Graph) -> bytes:
+    return _canon(g.n, g.rows)[0]
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -24,7 +24,7 @@ from .pairs import (
     theorem_collection,
 )
 from .perfection import is_perfect_spgt
-from .ramsey import THRESHOLD_NAMES, load_overrides, ramsey, threshold
+from .ramsey import THRESHOLD_PARAMS, load_overrides, ramsey, threshold
 
 # one runnable example per subcommand; the test suite executes these
 EXAMPLES = {
@@ -296,24 +296,28 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    table = load_overrides(args.table_override) if args.table_override else None
+    table = None
+    if args.table_override:
+        try:
+            table = load_overrides(args.table_override)
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.table_override}: {exc.strerror}") from exc
     if args.ramsey:
         k, l = args.ramsey
         bv = ramsey(k, l, table)
         print(f"R({k},{l}) = {bv.value} ({'exact' if bv.exact else 'upper bound'})")
         return 0
     name, *params = args.threshold
-    if name not in THRESHOLD_NAMES:
-        print(f"unknown threshold {name!r}; choose from {', '.join(THRESHOLD_NAMES)}",
-              file=sys.stderr)
-        return 2
+    if name not in THRESHOLD_PARAMS:
+        raise ValueError(
+            f"unknown threshold {name!r}; choose from {', '.join(THRESHOLD_PARAMS)}"
+        )
+    names = THRESHOLD_PARAMS[name]
+    if len(params) > len(names):
+        takes = " and ".join(v.upper() for v in names) or "no parameters"
+        raise ValueError(f"threshold {name!r} takes {takes}; got {len(params)}")
     ints = [int(v) for v in params]
-    kw = {}
-    if len(ints) >= 1:
-        kw["k"] = ints[0]
-    if len(ints) >= 2:
-        kw["l"] = ints[1]
-    bv = threshold(name, table=table, **kw)
+    bv = threshold(name, table=table, **dict(zip(names, ints)))
     print(f"threshold {name}{tuple(ints)} = {bv.value} "
           f"({'exact' if bv.exact else 'upper bound'})")
     return 0

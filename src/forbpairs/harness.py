@@ -41,29 +41,35 @@ smaller mask.  The smallest mask of an orbit is never skipped, since
 every image of it lies in the orbit, so each accepted orbit still yields
 its child and no class is lost.
 
-A child is determined by its parent and its mask, so `_extend(parent,
-mask)` canonicalises it once, and every class that shares the parent
-reuses it.  `_extend` and the parents' mask images, `_mask_images`, are
-bounded LRU caches of `EXTEND_CACHE_SIZE` (2048) and `PARENT_CACHE_SIZE`
-(256) entries.  They were sized by replaying the keys that one benchmark
-repetition asks for through LRU caches of several sizes.  120 small pair
-classes ask for 211 distinct keys and 53 parents, and 256 and 64 entries
-hold them all.  Seven classes at n <= 8 ask for 1,615 keys and 512
-parents: 2048 entries hold the keys (1,024 would miss 514 more times),
-and 256 entries miss 423 parents more than 512 would.  That costs about
-0.07 s of automorphism search in 0.8 s and saves 0.2 MB, which keeps
-the peak memory within 4% of what it was without these caches.
-Unrestricted generation up to order 8 repeats no key, so there the
-caches only cost memory, under 1 MB.
-
 One function, `_children`, builds each level; parallel runs apply it to
-chunks of the parents in a process pool, so thread count never changes
-any output.  `generate_upto` is the one walk over orders, and it checks
-the order limit before generating anything.
+chunks of the parents in a process pool of at most one worker per CPU
+the process may use, so thread count never changes any output.
+`generate_upto` is the one walk over orders, and it checks the order
+limit and the thread count before generating anything.
 
-Levels sit in one bounded LRU cache, `_level`, keyed by the order, the
-patterns up to isomorphism and the thread count; each `generate_graphs`
-call returns a new list, which the caller owns.
+Generation keeps two bounded LRU caches, each keyed by what fixes its
+content.  A parent fixes, whatever the pattern set, its degrees, degree
+classes and neighbour degree sums, the mask tables of its automorphism
+generators, and each child, since a child is determined by its parent
+and its mask.  So one record per parent, `_parent`, holds all of these,
+the children as the record builds them, and every class that shares the
+parent reuses them; `_children` keeps only the work that depends on the
+class (the anchored copies, then the blocked, tie and orbit tests).  A
+record's children are evicted with it.  `PARENT_CACHE_SIZE` (512) comes
+from replaying the parent keys that one benchmark repetition asks for
+(seed 7) through LRU caches of several sizes.  120 small pair classes
+ask for 53 distinct parents and 211 distinct children, and 64 entries
+hold them all.  Seven classes at n <= 8 ask for 1,211 parents (512
+distinct) and 2,971 children (1,615 distinct): 512 entries hold them
+all, 384 miss 42 parents and 83 children more, and 256 miss 423 parents
+and 963 children more.  Unrestricted generation up to order 8 repeats no
+parent, so there the cache only costs memory.
+
+The other cache, `_level`, holds levels keyed by the order and the
+patterns up to isomorphism.  An entry is a slot that the first build of
+the level fills, so the thread count decides how a level is built, never
+whether it is built again.  Each `generate_graphs` call returns a new
+list, which the caller owns.
 
 Report schema (machine-readable lines)::
 
@@ -72,6 +78,7 @@ Report schema (machine-readable lines)::
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
@@ -104,9 +111,52 @@ KNOWN_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]
 # property) orders 0..n_max, at most 13 levels; 64 hold four such walks
 LEVEL_CACHE_SIZE = 64
 
-# children and parent symmetries that classes share (module docstring)
-EXTEND_CACHE_SIZE = 2048
-PARENT_CACHE_SIZE = 256
+# parent records that classes share (module docstring)
+PARENT_CACHE_SIZE = 512
+
+
+class _Parent:
+    """What a parent fixes whatever the pattern set: its degrees, the
+    degree classes at[d], the neighbour degree sums, the (lo, hi) mask
+    tables of its automorphism generators, and the canonical children built
+    from it so far, by mask.  With half = n // 2, a generator maps a
+    neighbourhood mask to lo[mask & (1 << half) - 1] | hi[mask >> half]."""
+
+    __slots__ = ("graph", "deg", "top", "at", "nsum", "images", "children")
+
+    def __init__(self, parent: Graph):
+        rows, n = parent.rows, parent.n
+        self.graph = parent
+        self.deg = deg = [r.bit_count() for r in rows]
+        self.top = max(deg, default=0)
+        self.at = at = [0] * (n + 2)  # at[d]: the vertices of degree d
+        for v, d in enumerate(deg):
+            at[d] |= 1 << v
+        self.nsum = [sum(deg[u] for u in bits(r)) for r in rows]
+        half = n // 2
+        self.images = [
+            (_images(gamma, 0, half), _images(gamma, half, n))
+            for gamma in automorphism_generators(parent)
+        ]
+        self.children: dict[int, tuple[bytes, Graph]] = {}
+
+    def child(self, mask: int) -> tuple[bytes, Graph]:
+        """Canonical code and canonically labelled copy of the parent plus
+        one vertex whose neighbourhood is mask."""
+        known = self.children.get(mask)
+        if known is None:
+            parent = self.graph
+            new_bit = 1 << parent.n
+            rows = [r | new_bit if mask >> v & 1 else r for v, r in enumerate(parent.rows)]
+            rows.append(mask)
+            g = Graph(parent.n + 1, rows)
+            code, perm = canonical_form(g)
+            known = self.children[mask] = code, relabel(g, perm)
+        return known
+
+
+# the parent records, by parent
+_parent = lru_cache(maxsize=PARENT_CACHE_SIZE)(_Parent)
 
 
 def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
@@ -115,9 +165,10 @@ def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
     whose mask no automorphism generator of the parent maps lower."""
     out: dict[bytes, Graph] = {}
     for parent in parents:
-        n = parent.n + 1
+        record = _parent(parent)
+        deg, top, at, nsum = record.deg, record.top, record.at, record.nsum
+        images = record.images
         prows = parent.rows
-        images = _mask_images(parent)
         half = parent.n // 2
         low = (1 << half) - 1
         # the anchored pairs (S, R), as the R values of each S
@@ -125,13 +176,7 @@ def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
         for cs, cr in () if patterns is None else anchored_copies(parent, patterns):
             by_s.setdefault(cs, set()).add(cr)
         copies = list(by_s.items())
-        deg = [r.bit_count() for r in prows]
-        top = max(deg, default=0)
-        at = [0] * (n + 1)  # at[d]: the parent vertices of degree d
-        for v, d in enumerate(deg):
-            at[d] |= 1 << v
-        nsum = [sum(deg[u] for u in bits(r)) for r in prows]
-        for mask in range(1 << (n - 1)):
+        for mask in range(1 << parent.n):
             # the new vertex has degree k; a parent vertex of degree d has
             # d + 1 in the child when it is in mask, else d
             k = mask.bit_count()
@@ -154,33 +199,9 @@ def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
                         continue
                 if any(lo[mask & low] | hi[mask >> half] < mask for lo, hi in images):
                     continue  # an automorphism of the parent maps mask lower
-                code, child = _extend(parent, mask)
+                code, child = record.child(mask)
                 out[code] = child  # equal codes carry identical canonical graphs
     return out
-
-
-@lru_cache(maxsize=EXTEND_CACHE_SIZE)
-def _extend(parent: Graph, mask: int) -> tuple[bytes, Graph]:
-    """Canonical code and canonically labelled copy of parent plus one
-    vertex whose neighbourhood is mask."""
-    new_bit = 1 << parent.n
-    rows = [r | new_bit if mask >> v & 1 else r for v, r in enumerate(parent.rows)]
-    rows.append(mask)
-    g = Graph(parent.n + 1, rows)
-    code, perm = canonical_form(g)
-    return code, relabel(g, perm)
-
-
-@lru_cache(maxsize=PARENT_CACHE_SIZE)
-def _mask_images(parent: Graph) -> tuple[tuple[list[int], list[int]], ...]:
-    """(lo, hi) tables for each automorphism generator of parent: with
-    half = parent.n // 2, the generator maps a neighbourhood mask to
-    lo[mask & (1 << half) - 1] | hi[mask >> half]."""
-    half = parent.n // 2
-    return tuple(
-        (_images(gamma, 0, half), _images(gamma, half, parent.n))
-        for gamma in automorphism_generators(parent)
-    )
 
 
 def _images(gamma: Sequence[int], start: int, stop: int) -> list[int]:
@@ -192,11 +213,13 @@ def _images(gamma: Sequence[int], start: int, stop: int) -> list[int]:
     return table
 
 
-def _check_order(n: int, patterns: Sequence[Graph] | None) -> None:
+def _check_args(n: int, patterns: Sequence[Graph] | None, threads: int) -> None:
     limit = GENERATOR_LIMIT if patterns is None else RESTRICTED_LIMIT
     if n < 0 or n > limit:
         scope = "all graphs" if patterns is None else "a free class"
         raise ValueError(f"generation of {scope} covers orders 0..{limit}, not {n}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, not {threads}")
 
 
 def generate_graphs(
@@ -210,7 +233,7 @@ def generate_graphs(
     hereditary restriction also prunes the generation itself).  The list
     is the caller's own: changing it leaves the level cache intact.
     """
-    _check_order(n, patterns)
+    _check_args(n, patterns, threads)
     key = None
     if patterns is not None:
         # isomorphic pattern lists build, and share, one cache entry
@@ -219,39 +242,59 @@ def generate_graphs(
             code, perm = canonical_form(p)
             forms[code] = relabel(p, perm)
         key = tuple(forms[c] for c in sorted(forms))
-    return list(_level(n, key, threads))
+    return list(_built(n, key, threads))
 
 
 @lru_cache(maxsize=LEVEL_CACHE_SIZE)
-def _level(n: int, patterns: tuple[Graph, ...] | None, threads: int) -> tuple[Graph, ...]:
-    """Level n by canonical code, built from level n - 1; patterns is the
-    canonical key that `generate_graphs` makes."""
+def _level(n: int, patterns: tuple[Graph, ...] | None) -> list[tuple[Graph, ...]]:
+    """The slot of level n of the class: empty until `_built` puts the
+    level in it; patterns is the canonical key that `generate_graphs`
+    makes."""
+    return []
+
+
+def _built(n: int, patterns: tuple[Graph, ...] | None, threads: int) -> tuple[Graph, ...]:
+    """Level n by canonical code, built from level n - 1 unless its slot
+    holds it: threads decides how a level is built, never whether."""
+    slot = _level(n, patterns)
+    if slot:
+        return slot[0]
     if n == 0:
         # the empty graph contains the order-0 pattern and no other
         free = patterns is None or all(p.n for p in patterns)
-        return (Graph(0, ()),) if free else ()
-    parents = _level(n - 1, patterns, threads)
-    if threads > 1 and len(parents) >= 64:
+        slot.append((Graph(0, ()),) if free else ())
+        return slot[0]
+    parents = _built(n - 1, patterns, threads)
+    workers = min(threads, _cpus())
+    if workers > 1 and len(parents) >= 64:
         import multiprocessing
 
         out: dict[bytes, Graph] = {}
         build = partial(_children, patterns=patterns)
-        with multiprocessing.Pool(threads) as pool:
+        with multiprocessing.Pool(workers) as pool:
             # equal canonical codes carry identical canonical graphs,
             # so the parts merge in any order
-            for part in pool.imap_unordered(build, _split(parents, threads * 4)):
+            for part in pool.imap_unordered(build, _split(parents, workers * 4)):
                 out.update(part)
     else:
         out = _children(parents, patterns)
-    return tuple(out[c] for c in sorted(out))
+    slot.append(tuple(out[c] for c in sorted(out)))
+    return slot[0]
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def generate_upto(
     n_max: int, patterns: Sequence[Graph] | None = None, threads: int = 1
 ) -> Iterator[Graph]:
     """Graphs on 1..n_max vertices, by order then canonical code.  The
-    limit is checked before any level is generated."""
-    _check_order(n_max, patterns)
+    arguments are checked before any level is generated."""
+    _check_args(n_max, patterns, threads)
     return (
         g for n in range(1, n_max + 1) for g in generate_graphs(n, patterns, threads)
     )

@@ -219,13 +219,14 @@ def threshold(name: str, k: int | None = None, l: int | None = None,
     raise ValueError(f"unknown threshold {name!r}")
 
 
-THRESHOLD_NAMES = (
-    "bipartite_kK1K2",
-    "indep5",
-    "multipartite_clique",
-    "split_clique",
-    "omega_kK1K2_Z1",
-    "omega_kK1K2_D",
-    "omega_kK1_coK1K2",
-    "peel_omega",
-)
+# each named threshold and the parameters it takes
+THRESHOLD_PARAMS = {
+    "bipartite_kK1K2": ("k",),
+    "indep5": (),
+    "multipartite_clique": ("k", "l"),
+    "split_clique": ("k",),
+    "omega_kK1K2_Z1": ("k",),
+    "omega_kK1K2_D": ("k",),
+    "omega_kK1_coK1K2": ("k", "l"),
+    "peel_omega": ("k", "l"),
+}

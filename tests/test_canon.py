@@ -79,13 +79,19 @@ def test_symmetric_heavyweights():
         assert canonical_code(g) == canonical_code(relabel(g, p))
 
 
-def test_coloured_codes_distinguish_colourings():
-    g = G("P3")
-    assert canonical_code(g, colors=[0, 1, 0]) != canonical_code(g, colors=[1, 0, 1])
-    # centre vs leaf individualisation differ, leaves agree
-    leaf1 = canonical_code(g, colors=[1, 0, 0])
-    leaf2 = canonical_code(g, colors=[0, 0, 1])
-    assert leaf1 == leaf2
+def test_every_labelling_gets_the_same_code():
+    """Slow twin of the pruned search: for every graph on at most 6
+    vertices, each of the n! labellings h gets the generated graph's code,
+    and relabelling h by its canonical order gives the generated graph back.
+    (The code is the minimum over the leaves of the refinement tree, not
+    over all n! labellings, so it is not compared with that minimum.)"""
+    for n in range(7):
+        for g in generate_graphs(n):
+            code = canonical_code(g)
+            for p in itertools.permutations(range(n)):
+                h = relabel(g, p)
+                h_code, perm = canonical_form(h)
+                assert h_code == code and relabel(h, perm) == g, (g, p)
 
 
 def _generated_group(n, gens):

@@ -74,6 +74,14 @@ def test_usage_errors(capsys):
     ["census", "--free", "2K1+K2", "D", "--nmax", "13"],
     ["catalog", "--nmax", "13"],
     ["check", "--graph6", "--expr", "~??~"],
+    ["bounds", "--ramsey", "3", "4", "--table-override", "no/such/file.txt"],
+    ["bounds", "--threshold", "bogus"],
+    ["bounds", "--threshold", "indep5", "1", "2", "3", "4"],
+    ["bounds", "--threshold", "split_clique", "3", "4"],
+    ["census", "--free", "K3", "3K1", "--nmax", "4", "--threads", "-3"],
+    ["verify", "--pair", "K1,3", "P5", "--class", "G5", "--property", "perfect",
+     "--nmax", "5", "--threads", "0"],
+    ["catalog", "--nmax", "5", "--threads", "0"],
 ])
 def test_rejected_input_exits_two(argv, capsys):
     """Input beyond the limits fails at once, with one error line."""

@@ -129,7 +129,8 @@ def test_generator_limits():
 
 
 def test_limits_checked_before_generating(monkeypatch):
-    """An order beyond the limit fails before any level is built."""
+    """An order beyond the limit, or a thread count below 1, fails before
+    any level is built."""
     from forbpairs import harness
 
     def no_levels(*args, **kwargs):
@@ -146,6 +147,11 @@ def test_limits_checked_before_generating(monkeypatch):
         census([G("K3")], ["connected"], 13)
     with pytest.raises(ValueError, match="free class"):
         harness.derive_blowup_catalog(13)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            generate_graphs(4, [G("K3")], threads=threads)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            census([G("K3")], ["connected"], 4, threads=threads)
 
 
 def test_verify_report_shape():
@@ -189,13 +195,75 @@ def test_verify_full_matches_restricted():
     assert a.verdict == b.verdict == "violated"
 
 
-def test_parallel_equals_sequential():
+def test_parallel_equals_sequential(monkeypatch):
     # levels 6 and 7 hold 74 and 217 graphs, at least the 64 parents that
     # send a level to the pool
+    from forbpairs import harness
+
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
     pats = [G("K1,3"), G("P5")]
+    harness._level.cache_clear()
     seq = generate_graphs(8, pats, threads=1)
+    harness._level.cache_clear()
     par = generate_graphs(8, pats, threads=2)
     assert [g.rows for g in seq] == [g.rows for g in par]
+
+
+def test_thread_count_builds_no_level_again(monkeypatch):
+    """A walk at threads=2 after the same walk at threads=1 reads every
+    level from the cache: it builds none and starts no pool."""
+    import multiprocessing
+
+    from forbpairs import harness
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    pats = [G("K1,3"), G("P5")]
+    harness._level.cache_clear()
+    seq = [generate_graphs(n, pats) for n in range(9)]
+    built = harness._level.cache_info().misses
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert [generate_graphs(n, pats, threads=2) for n in range(9)] == seq
+    assert harness._level.cache_info().misses == built
+
+
+def test_pool_never_exceeds_the_cpus(monkeypatch):
+    """A thread count above the CPUs the process may use starts one worker
+    per CPU, and the level is the same for every count."""
+    import multiprocessing
+
+    from forbpairs import harness
+
+    started = []
+
+    class InlinePool:
+        """Stands in for `multiprocessing.Pool`: records the process count
+        and maps in this process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    pats = [G("K1,3"), G("P5")]
+    expected = generate_graphs(8, pats)
+    for cpus, threads, workers in [(3, 1000, 3), (3, 2, 2), (1, 8, None)]:
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        started.clear()
+        harness._level.cache_clear()
+        assert generate_graphs(8, pats, threads=threads) == expected
+        # levels 6 and 7 reach the pool, one start each
+        assert started == ([] if workers is None else [workers] * 2)
 
 
 def test_returned_levels_are_the_callers_own():
@@ -240,32 +308,25 @@ def test_level_cache_is_bounded():
 def test_child_caches_are_bounded():
     from forbpairs import harness
 
-    caches = [
-        (harness._extend, harness.EXTEND_CACHE_SIZE),
-        (harness._mask_images, harness.PARENT_CACHE_SIZE),
-    ]
+    bound = harness.PARENT_CACHE_SIZE
     harness._level.cache_clear()
-    for cache, bound in caches:
-        assert cache.cache_info().maxsize == bound
-        cache.cache_clear()
+    assert harness._parent.cache_info().maxsize == bound
+    harness._parent.cache_clear()
     for n in range(1, 9):
         generate_graphs(n)
-        for cache, bound in caches:
-            assert cache.cache_info().currsize <= bound
-    # order 8 alone canonicalises more children, and reads more parents,
-    # than the bounds hold
-    for cache, bound in caches:
-        assert cache.cache_info().currsize == bound
+        assert harness._parent.cache_info().currsize <= bound
+    # order 8 alone reads more parents than the bound holds
+    assert harness._parent.cache_info().currsize == bound
 
 
 def test_levels_do_not_depend_on_cache_state():
     """The nine classes' levels up to 7 are the same built with every cache
-    empty as built from children and parent symmetries cached (and partly
-    evicted) by the classes in reverse order."""
+    empty as built from parent records (symmetries and children) cached,
+    and partly evicted, by the classes in reverse order."""
     from forbpairs import harness
 
     def clear():
-        for cache in (harness._level, harness._extend, harness._mask_images):
+        for cache in (harness._level, harness._parent):
             cache.cache_clear()
 
     classes = [[G(s) for s in pair] for pair in PATTERN_PAIRS]
