@@ -313,10 +313,15 @@ def _cmd_bounds(args) -> int:
             f"unknown threshold {name!r}; choose from {', '.join(THRESHOLD_PARAMS)}"
         )
     names = THRESHOLD_PARAMS[name]
+    takes = " and ".join(v.upper() for v in names) or "no parameters"
     if len(params) > len(names):
-        takes = " and ".join(v.upper() for v in names) or "no parameters"
         raise ValueError(f"threshold {name!r} takes {takes}; got {len(params)}")
-    ints = [int(v) for v in params]
+    try:
+        ints = [int(v) for v in params]
+    except ValueError:
+        raise ValueError(
+            f"threshold {name!r} takes {takes} as integers; got {' '.join(params)}"
+        ) from None
     bv = threshold(name, table=table, **dict(zip(names, ints)))
     print(f"threshold {name}{tuple(ints)} = {bv.value} "
           f"({'exact' if bv.exact else 'upper bound'})")

@@ -83,15 +83,19 @@ class _Parser:
         return self.text[start : self.pos]
 
     def parse(self) -> Node:
+        node = self.parse_union()
+        if self.pos != len(self.text):
+            raise self.error("unexpected trailing input")
+        return node
+
+    def parse_union(self) -> Node:
+        """expr: terms joined by '+', up to the first character after them."""
         node = self.parse_term()
         self.skip_ws()
         while self.peek() == "+":
             self.pos += 1
-            right = self.parse_term()
-            node = Union(node, right)
+            node = Union(node, self.parse_term())
             self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input")
         return node
 
     def parse_term(self) -> Node:
@@ -121,7 +125,10 @@ class _Parser:
                 self.pos = at
                 raise self.error("'co' must be followed by '('")
             self.pos += 1
-            inner = self.parse_expr_until_paren()
+            inner = self.parse_union()
+            if self.peek() != ")":
+                raise self.error("expected ')'")
+            self.pos += 1
             return Complement(inner)
         if word == "K":
             nums = [self.read_int()]
@@ -154,18 +161,6 @@ class _Parser:
             return Atom(word)
         self.pos = at
         raise self.error(f"unknown graph name {word!r}")
-
-    def parse_expr_until_paren(self) -> Node:
-        node = self.parse_term()
-        self.skip_ws()
-        while self.peek() == "+":
-            self.pos += 1
-            node = Union(node, self.parse_term())
-            self.skip_ws()
-        if self.peek() != ")":
-            raise self.error("expected ')'")
-        self.pos += 1
-        return node
 
 
 def parse_expr(text: str) -> Node:

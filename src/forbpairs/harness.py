@@ -44,7 +44,7 @@ its child and no class is lost.
 One function, `_children`, builds each level; parallel runs apply it to
 chunks of the parents in a process pool of at most one worker per CPU
 the process may use, so thread count never changes any output.
-`generate_upto` is the one walk over orders, and it checks the order
+`generate_upto` yields orders 1..n_max in turn, and it checks the order
 limit and the thread count before generating anything.
 
 Generation keeps two bounded LRU caches, each keyed by what fixes its
@@ -65,11 +65,23 @@ all, 384 miss 42 parents and 83 children more, and 256 miss 423 parents
 and 963 children more.  Unrestricted generation up to order 8 repeats no
 parent, so there the cache only costs memory.
 
-The other cache, `_level`, holds levels keyed by the order and the
-patterns up to isomorphism.  An entry is a slot that the first build of
-the level fills, so the thread count decides how a level is built, never
-whether it is built again.  Each `generate_graphs` call returns a new
-list, which the caller owns.
+The other cache, `_walk`, holds one walk per class: the levels built so
+far, from order 0 up.  Every caller reads a class as a walk over orders
+0..n, so `generate_graphs` only extends the walk to order n and returns
+level n as a new list, which the caller owns.  The key is the pattern
+list as given, as a tuple, or None for all graphs; an empty list
+restricts nothing and reads that walk too.  The thread count is not in
+the key, so it decides how a level is built, never whether it is built
+again.  The same patterns in another order or labelling make a walk of
+their own, with the same levels; no caller passes such lists, and a key
+up to isomorphism would cost a canonical form per pattern and call.
+`WALK_CACHE_SIZE` (24) comes from replaying the 1,988 requests of one
+run of the test suite, 112 classes, through LRU caches of walks.  24 is
+the fewest walks that build fewer levels (999) than an LRU cache of 64
+single levels keyed up to isomorphism (1,032); 16 walks build 1,065, 32
+build 949 and unbounded ones 768.  The walk of all graphs up to order 9
+dominates what the cache holds at any size.  Each benchmark workload
+needs one walk.
 
 Report schema (machine-readable lines)::
 
@@ -107,9 +119,8 @@ RESTRICTED_LIMIT = 12  # hereditary pattern-restricted generation may go higher
 # number of graphs per order, up to isomorphism (checked in tests)
 KNOWN_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]
 
-# a walk reads level n - 1 and a repeated walk over one class (a verify per
-# property) orders 0..n_max, at most 13 levels; 64 hold four such walks
-LEVEL_CACHE_SIZE = 64
+# the walks of the classes in use (module docstring)
+WALK_CACHE_SIZE = 24
 
 # parent records that classes share (module docstring)
 PARENT_CACHE_SIZE = 512
@@ -214,9 +225,9 @@ def _images(gamma: Sequence[int], start: int, stop: int) -> list[int]:
 
 
 def _check_args(n: int, patterns: Sequence[Graph] | None, threads: int) -> None:
-    limit = GENERATOR_LIMIT if patterns is None else RESTRICTED_LIMIT
+    limit = RESTRICTED_LIMIT if patterns else GENERATOR_LIMIT
     if n < 0 or n > limit:
-        scope = "all graphs" if patterns is None else "a free class"
+        scope = "a free class" if patterns else "all graphs"
         raise ValueError(f"generation of {scope} covers orders 0..{limit}, not {n}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, not {threads}")
@@ -231,55 +242,37 @@ def generate_graphs(
 
     With patterns given, only {patterns}-free graphs are produced (and the
     hereditary restriction also prunes the generation itself).  The list
-    is the caller's own: changing it leaves the level cache intact.
+    is the caller's own: changing it leaves the walk cache intact.
     """
     _check_args(n, patterns, threads)
-    key = None
-    if patterns is not None:
-        # isomorphic pattern lists build, and share, one cache entry
-        forms: dict[bytes, Graph] = {}
-        for p in patterns:
-            code, perm = canonical_form(p)
-            forms[code] = relabel(p, perm)
-        key = tuple(forms[c] for c in sorted(forms))
-    return list(_built(n, key, threads))
+    key = tuple(patterns) if patterns else None  # [] restricts nothing
+    walk = _walk(key)
+    while len(walk) <= n:
+        parents = walk[-1]
+        workers = min(threads, _cpus())
+        if workers > 1 and len(parents) >= 64:
+            import multiprocessing
+
+            out: dict[bytes, Graph] = {}
+            build = partial(_children, patterns=key)
+            with multiprocessing.Pool(workers) as pool:
+                # equal canonical codes carry identical canonical graphs,
+                # so the parts merge in any order
+                for part in pool.imap_unordered(build, _split(parents, workers * 4)):
+                    out.update(part)
+        else:
+            out = _children(parents, key)
+        walk.append(tuple(out[c] for c in sorted(out)))
+    return list(walk[n])
 
 
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
-def _level(n: int, patterns: tuple[Graph, ...] | None) -> list[tuple[Graph, ...]]:
-    """The slot of level n of the class: empty until `_built` puts the
-    level in it; patterns is the canonical key that `generate_graphs`
-    makes."""
-    return []
-
-
-def _built(n: int, patterns: tuple[Graph, ...] | None, threads: int) -> tuple[Graph, ...]:
-    """Level n by canonical code, built from level n - 1 unless its slot
-    holds it: threads decides how a level is built, never whether."""
-    slot = _level(n, patterns)
-    if slot:
-        return slot[0]
-    if n == 0:
-        # the empty graph contains the order-0 pattern and no other
-        free = patterns is None or all(p.n for p in patterns)
-        slot.append((Graph(0, ()),) if free else ())
-        return slot[0]
-    parents = _built(n - 1, patterns, threads)
-    workers = min(threads, _cpus())
-    if workers > 1 and len(parents) >= 64:
-        import multiprocessing
-
-        out: dict[bytes, Graph] = {}
-        build = partial(_children, patterns=patterns)
-        with multiprocessing.Pool(workers) as pool:
-            # equal canonical codes carry identical canonical graphs,
-            # so the parts merge in any order
-            for part in pool.imap_unordered(build, _split(parents, workers * 4)):
-                out.update(part)
-    else:
-        out = _children(parents, patterns)
-    slot.append(tuple(out[c] for c in sorted(out)))
-    return slot[0]
+@lru_cache(maxsize=WALK_CACHE_SIZE)
+def _walk(patterns: tuple[Graph, ...] | None) -> list[tuple[Graph, ...]]:
+    """The levels of the class built so far, level n at walk[n].  A walk
+    starts at level 0: the empty graph contains the order-0 pattern and no
+    other."""
+    free = patterns is None or all(p.n for p in patterns)
+    return [(Graph(0, ()),) if free else ()]
 
 
 def _cpus() -> int:

@@ -5,7 +5,10 @@ induced kK1 or a K_l.  Exact values are limited to the classically known
 small entries; everything else falls back to the additive recurrence
 R(k,l) <= R(k-1,l) + R(k,l-1), reported as an inexact upper bound.  Upper
 bounds are sound wherever the thresholds are used, since each threshold
-sits inside an "at least n vertices suffice" statement.
+sits inside an "at least n vertices suffice" statement.  The recurrence
+is filled bottom-up, one row of the smaller argument at a time, so large
+arguments need no deep recursion; a value that takes more than
+`MAX_CELLS` cells is refused with a ValueError.
 
 Each exact table entry with a witness of at most 17 vertices carries a
 lower-bound certificate: a graph on R(k,l)-1 vertices with no induced kK1
@@ -84,6 +87,10 @@ def _validated_witnesses() -> dict[tuple[int, int], Graph]:
     return out
 
 
+# the most recurrence cells one value may take (seconds of work)
+MAX_CELLS = 10**7
+
+
 class RamseyTable:
     """Exact small values plus the additive upper-bound recurrence."""
 
@@ -92,7 +99,6 @@ class RamseyTable:
         if overrides:
             for (k, l), v in overrides.items():
                 self._table[(min(k, l), max(k, l))] = v
-        self._memo: dict[tuple[int, int], BoundValue] = {}
 
     def value(self, k: int, l: int) -> BoundValue:
         if k < 1 or l < 1:
@@ -104,15 +110,25 @@ class RamseyTable:
             return BoundValue(1, True)
         if k == 2:
             return BoundValue(l, True)
-        hit = self._memo.get((k, l))
-        if hit is None:
-            if (k, l) in self._table:
-                hit = BoundValue(self._table[(k, l)], True)
-            else:
-                up = self.value(k - 1, l).value + self.value(k, l - 1).value
-                hit = BoundValue(up, False)
-            self._memo[(k, l)] = hit
-        return hit
+        if (k, l) in self._table:
+            return BoundValue(self._table[(k, l)], True)
+        cells = (k - 2) * (l - 2)
+        if cells > MAX_CELLS:
+            raise ValueError(
+                f"R({k},{l}) takes {cells} recurrence cells, more than {MAX_CELLS}"
+            )
+        # row b holds r[a] = R(a, b) for 2 <= a <= min(k, b), built from row
+        # b - 1 in place; R(a, a - 1) is R(a - 1, a), the entry just left of a
+        r = [0] * (k + 1)
+        for b in range(3, l + 1):
+            r[2] = b
+            for a in range(3, min(k, b) + 1):
+                exact = self._table.get((a, b))
+                if exact is not None:
+                    r[a] = exact
+                else:
+                    r[a] = (r[a] if a < b else r[a - 1]) + r[a - 1]
+        return BoundValue(r[k], False)
 
 
 _DEFAULT = RamseyTable()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, MAX_VERTICES, bits, induced_subgraph
+from .graphs import Graph, MAX_VERTICES, bits, build, induced_subgraph
 
 CLIQUE = "clique"
 INDEPENDENT = "independent"
@@ -148,12 +148,4 @@ def blow_up(base: Graph, spec: Sequence[tuple[str, int]]) -> Graph:
                     for a in range(size)
                     for b in range(spec[u][1])
                 )
-    return Graph(total, _rows_from_edges(total, edges))
-
-
-def _rows_from_edges(n: int, edges) -> list[int]:
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
+    return build(total, edges)

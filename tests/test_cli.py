@@ -78,6 +78,9 @@ def test_usage_errors(capsys):
     ["bounds", "--threshold", "bogus"],
     ["bounds", "--threshold", "indep5", "1", "2", "3", "4"],
     ["bounds", "--threshold", "split_clique", "3", "4"],
+    ["bounds", "--threshold", "peel_omega", "x", "2"],
+    ["bounds", "--ramsey", "5", "100000000"],
+    ["bounds", "--threshold", "omega_kK1K2_D", "30"],
     ["census", "--free", "K3", "3K1", "--nmax", "4", "--threads", "-3"],
     ["verify", "--pair", "K1,3", "P5", "--class", "G5", "--property", "perfect",
      "--nmax", "5", "--threads", "0"],
@@ -120,6 +123,11 @@ def test_bounds_output(capsys):
     main(["bounds", "--threshold", "peel_omega", "3", "2"])
     out = capsys.readouterr().out
     assert "= 9" in out and "exact" in out
+    # arguments far beyond a recursion depth of the recurrence
+    assert main(["bounds", "--ramsey", "3", "2000"]) == 0
+    assert capsys.readouterr().out == "R(3,2000) = 2000995 (upper bound)\n"
+    assert main(["bounds", "--threshold", "omega_kK1K2_D", "10"]) == 0
+    assert capsys.readouterr().out.endswith(" (upper bound)\n")
 
 
 def test_table_override(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -33,6 +34,20 @@ def test_parse_shapes():
 def test_parse_rejects(bad):
     with pytest.raises(ExprError):
         parse_expr(bad)
+
+
+def test_parse_error_messages():
+    """A union ends at its first other character: inside co(...) that
+    must be ')', at the top level the end of the text."""
+    for text, message, pos in [
+        ("co(K3", "expected ')'", 5),
+        ("co(K1+K2 K3)", "expected ')'", 9),
+        ("K3)", "unexpected trailing input", 2),
+        ("co(K3))", "unexpected trailing input", 6),
+    ]:
+        with pytest.raises(ExprError, match=re.escape(message)) as info:
+            parse_expr(text)
+        assert info.value.pos == pos, text
 
 
 def test_parse_fuzz_never_crashes():

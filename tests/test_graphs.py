@@ -10,6 +10,7 @@ from forbpairs.graphs import (
     chromatic_number,
     complement,
     disjoint_union,
+    has_independent_set,
     independence_number,
     induced_subgraph,
     invariants,
@@ -182,6 +183,16 @@ def test_chi_at_least_omega_exhaustive_small():
         iv = invariants(g)
         assert iv.omega <= iv.chi <= max(g.n, 0)
         assert independence_number(complement(g)) == iv.omega
+
+
+def test_has_independent_set_against_independence_number():
+    """The k = 2 and k = 3 fast paths, and the rest, on every graph with at
+    most 7 vertices; the slow twin is `max_clique` of the complement."""
+    for n in range(8):
+        for g in generate_graphs(n):
+            alpha = independence_number(g)
+            for k in range(-1, 7):
+                assert has_independent_set(g, k) == (alpha >= k), (g, k)
 
 
 def test_shape_report():

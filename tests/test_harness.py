@@ -73,7 +73,9 @@ def test_order_zero_honours_empty_pattern():
     k0 = Graph(0, ())
     assert not is_free(k0, [k0])
     assert generate_graphs(0, [k0]) == []
+    assert generate_graphs(3, [k0]) == []
     assert generate_graphs(0, [G("K1"), G("K2")]) == [k0]
+    assert generate_graphs(0, []) == generate_graphs(0) == [k0]
 
 
 def test_generation_against_labelled_bruteforce():
@@ -121,11 +123,24 @@ def test_restricted_equals_filtered():
             assert full == restricted, (pair, n)
 
 
-def test_generator_limits():
-    with pytest.raises(ValueError, match="all graphs covers orders 0..10"):
-        generate_graphs(11)
+def test_generator_limits(monkeypatch):
+    """An empty pattern list restricts nothing: it gets the limit of all
+    graphs and reads the walk of all graphs."""
+    from forbpairs import harness
+
+    for pats in (None, []):
+        with pytest.raises(ValueError, match="all graphs covers orders 0..10"):
+            generate_graphs(11, pats)
     with pytest.raises(ValueError, match="a free class covers orders 0..12"):
         generate_graphs(13, [G("K3")])
+
+    def no_levels(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    everything = generate_graphs(5)
+    monkeypatch.setattr(harness, "_children", no_levels)
+    assert generate_graphs(5, []) == everything
+    assert len(everything) == KNOWN_COUNTS[5]
 
 
 def test_limits_checked_before_generating(monkeypatch):
@@ -136,7 +151,7 @@ def test_limits_checked_before_generating(monkeypatch):
     def no_levels(*args, **kwargs):
         raise AssertionError("a level was built")
 
-    harness._level.cache_clear()
+    harness._walk.cache_clear()
     monkeypatch.setattr(harness, "_children", no_levels)
     pair = PairSpec(G("K1,3"), G("P5"))
     with pytest.raises(ValueError, match="free class"):
@@ -202,9 +217,9 @@ def test_parallel_equals_sequential(monkeypatch):
 
     monkeypatch.setattr(harness, "_cpus", lambda: 2)
     pats = [G("K1,3"), G("P5")]
-    harness._level.cache_clear()
+    harness._walk.cache_clear()
     seq = generate_graphs(8, pats, threads=1)
-    harness._level.cache_clear()
+    harness._walk.cache_clear()
     par = generate_graphs(8, pats, threads=2)
     assert [g.rows for g in seq] == [g.rows for g in par]
 
@@ -219,14 +234,16 @@ def test_thread_count_builds_no_level_again(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
+    def no_levels(*args, **kwargs):
+        raise AssertionError("a level was built")
+
     monkeypatch.setattr(harness, "_cpus", lambda: 2)
     pats = [G("K1,3"), G("P5")]
-    harness._level.cache_clear()
+    harness._walk.cache_clear()
     seq = [generate_graphs(n, pats) for n in range(9)]
-    built = harness._level.cache_info().misses
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(harness, "_children", no_levels)
     assert [generate_graphs(n, pats, threads=2) for n in range(9)] == seq
-    assert harness._level.cache_info().misses == built
 
 
 def test_pool_never_exceeds_the_cpus(monkeypatch):
@@ -260,7 +277,7 @@ def test_pool_never_exceeds_the_cpus(monkeypatch):
     for cpus, threads, workers in [(3, 1000, 3), (3, 2, 2), (1, 8, None)]:
         monkeypatch.setattr(harness, "_cpus", lambda: cpus)
         started.clear()
-        harness._level.cache_clear()
+        harness._walk.cache_clear()
         assert generate_graphs(8, pats, threads=threads) == expected
         # levels 6 and 7 reach the pool, one start each
         assert started == ([] if workers is None else [workers] * 2)
@@ -275,33 +292,39 @@ def test_returned_levels_are_the_callers_own():
 
 
 def test_isomorphic_pattern_lists_share_a_level():
-    from forbpairs import harness
+    """The nine classes' levels up to 7 do not depend on the order of the
+    patterns or on their labellings."""
+    import random
+
     from forbpairs.graphs import relabel
 
-    chair = G("chair")
-    moved = relabel(chair, [4, 2, 3, 0, 1])
-    assert moved.rows != chair.rows
-    for pats, same in [
-        ([G("K3"), G("3K1")], [G("3K1"), G("K3")]),
-        ([chair, G("K3")], [G("K3"), moved, chair]),
-    ]:
-        first = generate_graphs(6, pats)
-        built = harness._level.cache_info().misses
-        assert generate_graphs(6, same) == first
-        assert harness._level.cache_info().misses == built
+    def shuffled(p):
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        return relabel(p, perm)
+
+    rng = random.Random(10)
+    for pair in PATTERN_PAIRS:
+        pats = [G(s) for s in pair]
+        moved = [shuffled(p) for p in pats]
+        for same in (pats[::-1], moved, moved[::-1]):
+            for n in range(8):
+                assert generate_graphs(n, same) == generate_graphs(n, pats), (pair, n)
 
 
 def test_level_cache_is_bounded():
+    """The walk cache holds at most `WALK_CACHE_SIZE` classes."""
     from forbpairs import harness
 
-    bound = harness.LEVEL_CACHE_SIZE
-    assert harness._level.cache_info().maxsize == bound
-    small = [g for n in range(1, 5) for g in generate_graphs(n)]
+    bound = harness.WALK_CACHE_SIZE
+    assert harness._walk.cache_info().maxsize == bound
+    small = [g for n in range(1, 6) for g in generate_graphs(n)]
+    assert len(small) > bound  # 52 classes
     first = generate_graphs(4, [small[-1]])
-    for p in small:  # 18 classes of 5 levels each, more than the bound
+    for p in small:
         generate_graphs(4, [p])
-        assert harness._level.cache_info().currsize <= bound
-    assert harness._level.cache_info().currsize == bound
+        assert harness._walk.cache_info().currsize <= bound
+    assert harness._walk.cache_info().currsize == bound
     assert generate_graphs(4, [small[-1]]) == first
 
 
@@ -309,7 +332,7 @@ def test_child_caches_are_bounded():
     from forbpairs import harness
 
     bound = harness.PARENT_CACHE_SIZE
-    harness._level.cache_clear()
+    harness._walk.cache_clear()
     assert harness._parent.cache_info().maxsize == bound
     harness._parent.cache_clear()
     for n in range(1, 9):
@@ -326,7 +349,7 @@ def test_levels_do_not_depend_on_cache_state():
     from forbpairs import harness
 
     def clear():
-        for cache in (harness._level, harness._parent):
+        for cache in (harness._walk, harness._parent):
             cache.cache_clear()
 
     classes = [[G(s) for s in pair] for pair in PATTERN_PAIRS]
@@ -338,7 +361,7 @@ def test_levels_do_not_depend_on_cache_state():
     for pats in reversed(classes):
         for n in range(1, 8):
             generate_graphs(n, pats)
-    harness._level.cache_clear()
+    harness._walk.cache_clear()
     warm = [[generate_graphs(n, pats) for n in range(1, 8)] for pats in classes]
     assert warm == cold
 

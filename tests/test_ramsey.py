@@ -39,6 +39,35 @@ def test_recurrence_upper_bounds():
             assert ramsey(k, l + 1).value >= ramsey(k, l).value
 
 
+def test_table_equals_the_recursive_definition():
+    """The bottom-up table gives the values and exactness flags of the
+    recurrence, evaluated top-down, for k, l <= 12, with and without
+    overrides."""
+    from forbpairs.ramsey import _EXACT_TABLE
+
+    for overrides in ({}, {(3, 8): 28, (4, 5): 25, (5, 5): 43, (4, 9): 100}):
+        entries = {**_EXACT_TABLE, **overrides}
+        memo = {}
+
+        def defined(k, l):
+            k, l = min(k, l), max(k, l)
+            if k == 1:
+                return BoundValue(1, True)
+            if k == 2:
+                return BoundValue(l, True)
+            if (k, l) in entries:
+                return BoundValue(entries[(k, l)], True)
+            if (k, l) not in memo:
+                up = defined(k - 1, l).value + defined(k, l - 1).value
+                memo[(k, l)] = BoundValue(up, False)
+            return memo[(k, l)]
+
+        table = RamseyTable(overrides)
+        for k in range(1, 13):
+            for l in range(1, 13):
+                assert table.value(k, l) == defined(k, l), (overrides, k, l)
+
+
 def test_witnesses_are_certificates():
     for k, l in [(3, 3), (3, 4), (3, 5), (3, 6), (4, 4)]:
         w = witness(k, l)
