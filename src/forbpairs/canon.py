@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, relabel
+from .graphs import Graph, bits, relabel, twins
 
 
 def _canon(n: int, rows: Sequence[int]):
@@ -34,19 +34,15 @@ def _canon(n: int, rows: Sequence[int]):
                     out.append(cell)
                     continue
                 sigs: dict[int, int] = {}
-                m = cell
-                while m:
-                    b = m & -m
-                    v = b.bit_length() - 1
-                    m ^= b
+                for v in bits(cell):
                     r = rows[v]
                     sig = 0
                     for c2 in cells:
                         sig = sig << 7 | (r & c2).bit_count()
                     if sig in sigs:
-                        sigs[sig] |= b
+                        sigs[sig] |= 1 << v
                     else:
-                        sigs[sig] = b
+                        sigs[sig] = 1 << v
                 if len(sigs) == 1:
                     out.append(cell)
                 else:
@@ -91,12 +87,7 @@ def _canon(n: int, rows: Sequence[int]):
 
         t = len(prefix)
         target = cells[t]
-        vs = []
-        m = target
-        while m:
-            b = m & -m
-            vs.append(b.bit_length() - 1)
-            m ^= b
+        vs = bits(target)
 
         parent = {v: v for v in vs}
 
@@ -114,11 +105,8 @@ def _canon(n: int, rows: Sequence[int]):
         # twin candidates are automorphic images of each other fixing all
         # other vertices, so they can be merged without leaf discovery
         for i, u in enumerate(vs):
-            ru = rows[u]
-            bu = 1 << u
             for v in vs[i + 1 :]:
-                rv = rows[v]
-                if ru == rv or ru ^ rv == bu | 1 << v:
+                if twins(rows, u, v):
                     union(u, v)
 
         seen_auts = 0
@@ -144,8 +132,8 @@ def _canon(n: int, rows: Sequence[int]):
 
     total_bits = n * (n - 1) // 2
     acc = 0
-    for i, bits in enumerate(best_code):
-        acc = acc << i | bits
+    for i, row in enumerate(best_code):
+        acc = acc << i | row
     payload = acc.to_bytes((total_bits + 7) // 8, "big") if total_bits else b""
     return bytes([n]) + payload, tuple(best_perm), auts
 
@@ -170,8 +158,7 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     gens = list(_canon(n, rows)[2])
     for v in range(n):
         for u in range(v - 1, -1, -1):
-            # twins: equal rows (non-adjacent) or rows equal up to the pair
-            if rows[u] == rows[v] or rows[u] ^ rows[v] == 1 << u | 1 << v:
+            if twins(rows, u, v):
                 swap = list(range(n))
                 swap[u], swap[v] = v, u
                 gens.append(tuple(swap))

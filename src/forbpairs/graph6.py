@@ -9,8 +9,6 @@ built-in enumeration stays far below it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 from .graphs import Graph, build
 
 
@@ -67,19 +65,3 @@ def decode_graph6(text: str) -> Graph:
             edges.append((i, j))
     return build(n, edges)
 
-
-def read_graph6(lines: Iterable[str]) -> Iterator[Graph]:
-    """Decode a one-graph-per-line stream; errors carry the line number."""
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            yield decode_graph6(stripped)
-        except Graph6Error as exc:
-            raise Graph6Error(f"line {lineno}: {exc}") from None
-
-
-def read_graph6_file(path) -> list[Graph]:
-    with open(path, "r", encoding="ascii") as fh:
-        return list(read_graph6(fh))

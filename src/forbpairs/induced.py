@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, induced_on_mask
+from .graphs import Graph, bits, induced_on_mask, twins
 
 
 class _Plan(NamedTuple):
@@ -38,16 +38,11 @@ class _Plan(NamedTuple):
     anchors: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
 
-def _twins(prow: Sequence[int], u: int, v: int) -> bool:
-    ru, rv = prow[u], prow[v]
-    return ru == rv or ru ^ rv == (1 << u | 1 << v)
-
-
 def _twin_chain(prow: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     twin = [-1] * len(prow)
     for j, v in enumerate(order):
         for u in order[:j]:
-            if _twins(prow, u, v):
+            if twins(prow, u, v):
                 twin[v] = u
     return tuple(twin)
 
@@ -58,7 +53,7 @@ def _plan(pattern: Graph) -> _Plan:
     order = tuple(sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v)))
     anchors = []
     for u in range(pattern.n):
-        if not any(_twins(prow, t, u) for t in range(u)):
+        if not any(twins(prow, t, u) for t in range(u)):
             rest = tuple(v for v in order if v != u)
             anchors.append((u, rest, _twin_chain(prow, rest)))
     return _Plan(order, _twin_chain(prow, order), pattern.edge_count(), tuple(anchors))
@@ -85,10 +80,7 @@ def _embeddings(
         t = twin[q]
         if t != -1:
             cand &= ~((2 << assign[t]) - 1)
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            hv = b.bit_length() - 1
+        for hv in bits(cand):
             assign[q] = hv
             if level + 1 == k:
                 yield assign
@@ -102,7 +94,7 @@ def _embeddings(
                     break
                 nxt[r] = m
             if ok:
-                yield from place(level + 1, nxt, used | b)
+                yield from place(level + 1, nxt, used | 1 << hv)
         assign[q] = -1
 
     if k == 0:

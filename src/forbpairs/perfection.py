@@ -93,11 +93,7 @@ def odd_hole(g: Graph) -> tuple[int, ...] | None:
 
         def extend(path: list[int], banned: int) -> tuple[int, ...] | None:
             last = path[-1]
-            cand = rows[last] & above & ~banned
-            while cand:
-                b = cand & -cand
-                cand ^= b
-                u = b.bit_length() - 1
+            for u in bits(rows[last] & above & ~banned):
                 if rows[u] >> s & 1:
                     # u is adjacent to the start, so it can only close the
                     # cycle (as an interior vertex it would leave a chord)
@@ -109,11 +105,7 @@ def odd_hole(g: Graph) -> tuple[int, ...] | None:
                     return found
             return None
 
-        first = rows[s] & above
-        while first:
-            b = first & -first
-            first ^= b
-            v = b.bit_length() - 1
+        for v in bits(rows[s] & above):
             found = extend([s, v], 1 << s)
             if found:
                 return found
@@ -151,7 +143,7 @@ def is_perfect_definition(g: Graph) -> PerfectnessCertificate:
         chi = chromatic_number(sub, omega=omega)
         if chi > omega:
             return PerfectnessCertificate(
-                "imperfect", "chi_gt_omega", tuple(bits(mask)), chi=chi, omega=omega
+                "imperfect", "chi_gt_omega", bits(mask), chi=chi, omega=omega
             )
     return PerfectnessCertificate("perfect")
 

@@ -8,7 +8,8 @@ bounds are sound wherever the thresholds are used, since each threshold
 sits inside an "at least n vertices suffice" statement.  The recurrence
 is filled bottom-up, one row of the smaller argument at a time, so large
 arguments need no deep recursion; a value that takes more than
-`MAX_CELLS` cells is refused with a ValueError.
+`MAX_CELLS` cells of work is refused with a ValueError, where each row
+counts `ROW_CELLS` cells on top of its own.
 
 Each exact table entry with a witness of at most 17 vertices carries a
 lower-bound certificate: a graph on R(k,l)-1 vertices with no induced kK1
@@ -87,8 +88,11 @@ def _validated_witnesses() -> dict[tuple[int, int], Graph]:
     return out
 
 
-# the most recurrence cells one value may take (seconds of work)
+# the most recurrence work one value may take (seconds at most).  A row
+# costs about as much time as 8 cells, so counted by cells alone R(3, l),
+# one cell a row, took several times longer than a square table
 MAX_CELLS = 10**7
+ROW_CELLS = 8
 
 
 class RamseyTable:
@@ -112,10 +116,11 @@ class RamseyTable:
             return BoundValue(l, True)
         if (k, l) in self._table:
             return BoundValue(self._table[(k, l)], True)
-        cells = (k - 2) * (l - 2)
+        cells = (k - 2 + ROW_CELLS) * (l - 2)
         if cells > MAX_CELLS:
             raise ValueError(
-                f"R({k},{l}) takes {cells} recurrence cells, more than {MAX_CELLS}"
+                f"R({k},{l}) takes {cells} cells of recurrence work, "
+                f"more than {MAX_CELLS}"
             )
         # row b holds r[a] = R(a, b) for 2 <= a <= min(k, b), built from row
         # b - 1 in place; R(a, a - 1) is R(a - 1, a), the entry just left of a

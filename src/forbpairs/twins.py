@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, MAX_VERTICES, bits, build, induced_subgraph
+from .graphs import Graph, MAX_VERTICES, bits, build, induced_subgraph, twins
 
 CLIQUE = "clique"
 INDEPENDENT = "independent"
@@ -84,14 +84,9 @@ class TwinCollapse:
 
 def _twin_pair(rows: dict[int, int], alive: list[int]) -> tuple[int, int, str] | None:
     for i, u in enumerate(alive):
-        ru = rows[u]
-        bu = 1 << u
         for v in alive[i + 1 :]:
-            rv = rows[v]
-            if ru == rv:
-                return u, v, INDEPENDENT
-            if ru ^ rv == bu | 1 << v:
-                return u, v, CLIQUE
+            if twins(rows, u, v):
+                return u, v, INDEPENDENT if rows[u] == rows[v] else CLIQUE
     return None
 
 

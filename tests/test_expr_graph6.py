@@ -142,17 +142,3 @@ def test_graph6_round_trip_exhaustive():
 def test_graph6_rejects(bad):
     with pytest.raises(Graph6Error):
         decode_graph6(bad)
-
-
-def test_graph6_file_errors(tmp_path):
-    p = tmp_path / "in.g6"
-    p.write_text("Bw\nDhc\n")
-    from forbpairs.graph6 import read_graph6_file
-
-    gs = read_graph6_file(p)
-    assert [g.n for g in gs] == [3, 5]
-    p.write_text("")
-    assert read_graph6_file(p) == []
-    p.write_text("Bw\n???\n")
-    with pytest.raises(Graph6Error, match="line 2"):
-        read_graph6_file(p)

@@ -6,6 +6,7 @@ import pytest
 from forbpairs.expr import graph_from_expr as G
 from forbpairs.graphs import (
     Invariants,
+    bits,
     build,
     chromatic_number,
     complement,
@@ -18,6 +19,7 @@ from forbpairs.graphs import (
     max_clique,
     max_clique_set,
     shape_report,
+    twins,
 )
 from forbpairs.harness import generate_graphs
 
@@ -35,6 +37,32 @@ def test_build_examples():
     assert build(1, []).n == 1
     # duplicates collapse
     assert build(2, [(0, 1), (1, 0), (0, 1)]).edge_count() == 1
+    p3 = build(3, [(0, 1), (1, 2)])
+    assert twins(p3.rows, 0, 2)  # false twins: equal rows
+    assert twins(k3.rows, 0, 1)  # true twins: rows differ by the pair
+    assert not twins(p3.rows, 0, 1)  # adjacent, but only 1 sees 2
+
+
+def _shift_loop(mask):
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def test_bits_against_a_shift_loop():
+    for mask in range(1 << 16):
+        assert bits(mask) == _shift_loop(mask), mask
+    rng = random.Random(5)
+    for _ in range(20000):
+        mask = rng.getrandbits(rng.randint(1, 64))
+        assert bits(mask) == _shift_loop(mask), mask
+    with pytest.raises(ValueError):
+        bits(1 << 64)
 
 
 def test_build_errors():

@@ -68,6 +68,12 @@ def test_table_equals_the_recursive_definition():
                 assert table.value(k, l) == defined(k, l), (overrides, k, l)
 
 
+def test_long_narrow_tables_are_refused_at_once():
+    # 10^7 cells, one a row: bounded by rows as well as cells
+    with pytest.raises(ValueError, match="more than"):
+        ramsey(3, 10**7 + 2)
+
+
 def test_witnesses_are_certificates():
     for k, l in [(3, 3), (3, 4), (3, 5), (3, 6), (4, 4)]:
         w = witness(k, l)
