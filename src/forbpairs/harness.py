@@ -11,10 +11,8 @@ A child of a free parent can contain a pattern only through its new
 vertex, so freeness is settled once per parent: `induced.anchored_copies`
 lists the parent's copies of each pattern less one vertex, and every
 neighbourhood mask of the new vertex that completes one is skipped before
-a graph is built or a canonical form computed.  A mask is tested against
-the copies only once it passes the degree test of the filter below, which
-rejects most masks more cheaply.  The full matcher is not on this path; it
-serves `verify --full` and re-validates counterexamples.
+a graph is built or a canonical form computed.  The full matcher is not on
+this path; it serves `verify --full` and re-validates counterexamples.
 
 Most children are discarded before their canonical form is computed, by a
 canonical-deletion filter after McKay ("Isomorph-free exhaustive
@@ -41,21 +39,21 @@ smaller mask.  The smallest mask of an orbit is never skipped, since
 every image of it lies in the orbit, so each accepted orbit still yields
 its child and no class is lost.
 
-One function, `_children`, builds each level; parallel runs apply it to
-chunks of the parents in a process pool of at most one worker per CPU
-the process may use, so thread count never changes any output.
-`generate_upto` yields orders 1..n_max in turn, and it checks the order
-limit and the thread count before generating anything.
+One loop builds each level as the merge of `_children` over chunks of
+the parents: the chunks are mapped in this process for one worker, and
+in a process pool of at most one worker per CPU the process may use for
+more, so thread count never changes any output.  `generate_upto` yields
+orders 1..n_max in turn, and it checks the order limit and the thread
+count before generating anything.
 
 Generation keeps two bounded LRU caches, each keyed by what fixes its
-content.  A parent fixes, whatever the pattern set, its degrees, degree
-classes and neighbour degree sums, the mask tables of its automorphism
-generators, and each child, since a child is determined by its parent
-and its mask.  So one record per parent, `_parent`, holds all of these,
-the children as the record builds them, and every class that shares the
-parent reuses them; `_children` keeps only the work that depends on the
-class (the anchored copies, then the blocked, tie and orbit tests).  A
-record's children are evicted with it.  `PARENT_CACHE_SIZE` (512) comes
+content.  Neither the invariant filter nor the orbit test depends on the
+pattern set, and neither does a child, which its parent and mask fix.
+So one record per parent, `_parent`, holds the candidate masks plus
+children: the masks that pass both tests, and the children built so
+far, for every class that shares the parent.  `_children` runs the pair
+test only: it drops the candidate masks that complete an anchored copy.
+A record's children are evicted with it.  `PARENT_CACHE_SIZE` (512) comes
 from replaying the parent keys that one benchmark repetition asks for
 (seed 7) through LRU caches of several sizes.  120 small pair classes
 ask for 53 distinct parents and 211 distinct children, and 64 entries
@@ -91,6 +89,7 @@ Report schema (machine-readable lines)::
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
@@ -127,28 +126,50 @@ PARENT_CACHE_SIZE = 512
 
 
 class _Parent:
-    """What a parent fixes whatever the pattern set: its degrees, the
-    degree classes at[d], the neighbour degree sums, the (lo, hi) mask
-    tables of its automorphism generators, and the canonical children built
-    from it so far, by mask.  With half = n // 2, a generator maps a
-    neighbourhood mask to lo[mask & (1 << half) - 1] | hi[mask >> half]."""
+    """What a parent fixes whatever the pattern set: the candidate masks,
+    in increasing order, and the canonical children built from it so far,
+    by mask.  A candidate mask is the neighbourhood of a new vertex that
+    has the maximal (degree, neighbour degree sum) of the child, and that
+    no automorphism generator of the parent maps lower."""
 
-    __slots__ = ("graph", "deg", "top", "at", "nsum", "images", "children")
+    __slots__ = ("graph", "masks", "children")
 
     def __init__(self, parent: Graph):
         rows, n = parent.rows, parent.n
         self.graph = parent
-        self.deg = deg = [r.bit_count() for r in rows]
-        self.top = max(deg, default=0)
-        self.at = at = [0] * (n + 2)  # at[d]: the vertices of degree d
+        deg = [r.bit_count() for r in rows]
+        top = max(deg, default=0)
+        at = [0] * (n + 2)  # at[d]: the vertices of degree d
         for v, d in enumerate(deg):
             at[d] |= 1 << v
-        self.nsum = [sum(deg[u] for u in bits(r)) for r in rows]
+        nsum = [sum(deg[u] for u in bits(r)) for r in rows]
+        # with these (lo, hi) tables a generator maps a neighbourhood mask
+        # to lo[mask & low] | hi[mask >> half]
         half = n // 2
-        self.images = [
+        low = (1 << half) - 1
+        images = [
             (_images(gamma, 0, half), _images(gamma, half, n))
             for gamma in automorphism_generators(parent)
         ]
+        self.masks: list[int] = []
+        for mask in range(1 << n):
+            # the new vertex has degree k; a parent vertex of degree d has
+            # d + 1 in the child when it is in mask, else d
+            k = mask.bit_count()
+            if top > k or mask & at[k]:
+                continue  # a parent vertex has a larger degree
+            ties = at[k] & ~mask | at[k - 1] & mask  # at[-1] is empty
+            if ties:
+                s = k + sum(deg[v] for v in bits(mask))
+                if any(
+                    nsum[t] + (rows[t] & mask).bit_count() + (k if mask >> t & 1 else 0)
+                    > s
+                    for t in bits(ties)
+                ):
+                    continue  # a tied vertex has a larger neighbour degree sum
+            if any(lo[mask & low] | hi[mask >> half] < mask for lo, hi in images):
+                continue  # an automorphism of the parent maps mask lower
+            self.masks.append(mask)
         self.children: dict[int, tuple[bytes, Graph]] = {}
 
     def child(self, mask: int) -> tuple[bytes, Graph]:
@@ -171,45 +192,21 @@ _parent = lru_cache(maxsize=PARENT_CACHE_SIZE)(_Parent)
 
 
 def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
-    """Canonical (code, graph) pairs for the one-vertex extensions whose new
-    vertex has the maximal (degree, neighbour degree sum) of the child and
-    whose mask no automorphism generator of the parent maps lower."""
+    """Canonical (code, graph) pairs for the one-vertex extensions of the
+    parents by their candidate masks that complete no pattern copy."""
     out: dict[bytes, Graph] = {}
     for parent in parents:
         record = _parent(parent)
-        deg, top, at, nsum = record.deg, record.top, record.at, record.nsum
-        images = record.images
-        prows = parent.rows
-        half = parent.n // 2
-        low = (1 << half) - 1
         # the anchored pairs (S, R), as the R values of each S
         by_s: dict[int, set[int]] = {}
         for cs, cr in () if patterns is None else anchored_copies(parent, patterns):
             by_s.setdefault(cs, set()).add(cr)
         copies = list(by_s.items())
-        for mask in range(1 << parent.n):
-            # the new vertex has degree k; a parent vertex of degree d has
-            # d + 1 in the child when it is in mask, else d
-            k = mask.bit_count()
-            if top > k or mask & at[k]:
-                continue  # a parent vertex has a larger degree
-            # the pair test costs less than the tie test below, and most
-            # masks that pass the degree test complete a pattern copy
+        for mask in record.masks:
             for cs, rs in copies:
                 if mask & cs in rs:
                     break  # the new vertex completes a pattern copy
             else:
-                ties = at[k] & ~mask | at[k - 1] & mask  # at[-1] is empty
-                if ties:
-                    s = k + sum(deg[v] for v in bits(mask))
-                    if any(
-                        nsum[t] + (prows[t] & mask).bit_count() + (k if mask >> t & 1 else 0)
-                        > s
-                        for t in bits(ties)
-                    ):
-                        continue
-                if any(lo[mask & low] | hi[mask >> half] < mask for lo, hi in images):
-                    continue  # an automorphism of the parent maps mask lower
                 code, child = record.child(mask)
                 out[code] = child  # equal codes carry identical canonical graphs
     return out
@@ -247,23 +244,31 @@ def generate_graphs(
     _check_args(n, patterns, threads)
     key = tuple(patterns) if patterns else None  # [] restricts nothing
     walk = _walk(key)
+    build = partial(_children, patterns=key)
     while len(walk) <= n:
         parents = walk[-1]
-        workers = min(threads, _cpus())
-        if workers > 1 and len(parents) >= 64:
-            import multiprocessing
-
-            out: dict[bytes, Graph] = {}
-            build = partial(_children, patterns=key)
-            with multiprocessing.Pool(workers) as pool:
-                # equal canonical codes carry identical canonical graphs,
-                # so the parts merge in any order
-                for part in pool.imap_unordered(build, _split(parents, workers * 4)):
-                    out.update(part)
-        else:
-            out = _children(parents, key)
+        workers = min(threads, _cpus()) if len(parents) >= 64 else 1
+        out: dict[bytes, Graph] = {}
+        with _mapper(workers) as imap:
+            # equal canonical codes carry identical canonical graphs, so the
+            # parts merge in any order
+            for part in imap(build, _split(parents, workers * 4)):
+                out.update(part)
         walk.append(tuple(out[c] for c in sorted(out)))
     return list(walk[n])
+
+
+@contextmanager
+def _mapper(workers: int):
+    """An unordered map over `workers` processes: the builtin map in this
+    process for one, else a process pool's imap_unordered."""
+    if workers == 1:
+        yield map
+    else:
+        import multiprocessing
+
+        with multiprocessing.Pool(workers) as pool:
+            yield pool.imap_unordered
 
 
 @lru_cache(maxsize=WALK_CACHE_SIZE)

@@ -152,11 +152,8 @@ class ClassSpec:
     min_independence: int | None = None
     exclude_c5: bool = False
     exclude_odd_cycles: bool = False
-    min_order: int | None = None
 
     def contains(self, g: Graph) -> bool:
-        if self.min_order is not None and g.n < self.min_order:
-            return False
         if self.exclude_odd_cycles and g.n % 2 == 1 and is_cycle(g):
             return False
         if self.exclude_c5 and g.n == 5 and is_cycle(g):

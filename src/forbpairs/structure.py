@@ -80,14 +80,6 @@ def olariu_decompose(g: Graph) -> list[ComponentReport]:
     return out
 
 
-def multipartite_split(g: Graph) -> tuple[list[int], list[int]]:
-    """Component masks split into (complete multipartite, the rest)."""
-    multi, rest = [], []
-    for rep in olariu_decompose(g):
-        (multi if rep.tag == COMPLETE_MULTIPARTITE else rest).append(rep.vertices)
-    return multi, rest
-
-
 def indep5_classify(g: Graph) -> str:
     """Shape of a connected {K1 u K1_3, K3}-free graph of independence >= 5."""
     if not is_connected(g):

@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from forbpairs import catalog
-from forbpairs.canon import canonical_code, canonical_graph
+from forbpairs.canon import automorphism_generators, canonical_code, canonical_graph
 from forbpairs.expr import graph_from_expr as G
 from forbpairs.graph6 import decode_graph6
-from forbpairs.graphs import Graph, build
+from forbpairs.graphs import Graph, bits, build
 from forbpairs.harness import (
     KNOWN_COUNTS,
     Census,
@@ -66,6 +66,46 @@ def test_generation_equals_unfiltered_builder():
             assert [g.rows for g in level] == [
                 g.rows for g in generate_graphs(n, pats)
             ], (pats, n)
+
+
+def _candidate_masks(parent):
+    """The masks of `_Parent.masks` by their definition: on the built child,
+    the new vertex has the maximal (degree, neighbour degree sum), and no
+    automorphism generator of the parent maps the mask lower."""
+    gens = automorphism_generators(parent)
+    new = parent.n
+    out = []
+    for mask in range(1 << new):
+        child = Graph(new + 1, [
+            r | 1 << new if mask >> v & 1 else r for v, r in enumerate(parent.rows)
+        ] + [mask])
+
+        def invariant(v):
+            return child.degree(v), sum(child.degree(u) for u in bits(child.rows[v]))
+
+        if max(map(invariant, range(new + 1))) != invariant(new):
+            continue
+        if any(sum(1 << gamma[v] for v in bits(mask)) < mask for gamma in gens):
+            continue
+        out.append(mask)
+    return out
+
+
+def test_candidate_masks_match_their_definition():
+    """Every graph on at most 6 vertices, canonically labelled and shuffled,
+    gets the candidate masks of the slow twin above."""
+    import random
+
+    from forbpairs.graphs import relabel
+    from forbpairs.harness import _Parent
+
+    rng = random.Random(6)
+    for n in range(7):
+        for g in generate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for parent in (g, relabel(g, perm)):
+                assert _Parent(parent).masks == _candidate_masks(parent), parent.rows
 
 
 def test_order_zero_honours_empty_pattern():

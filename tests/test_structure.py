@@ -26,7 +26,6 @@ from forbpairs.structure import (
     indep5_classify,
     blowup_classify,
     peel_colour,
-    multipartite_split,
     olariu_decompose,
 )
 from forbpairs.twins import blow_up
@@ -37,6 +36,14 @@ def test_olariu_examples():
     assert rep.tag == TRIANGLE_FREE
     (rep,) = olariu_decompose(G("K2,2,2"))
     assert rep.tag == COMPLETE_MULTIPARTITE
+    (rep,) = olariu_decompose(G("C6"))
+    assert rep.tag == TRIANGLE_FREE
+    (rep,) = olariu_decompose(G("K2,3"))
+    assert rep.tag == COMPLETE_MULTIPARTITE
+    # one multipartite component and one other, with their vertex masks
+    reps = olariu_decompose(disjoint_union(G("K3"), G("C7")))
+    assert [r.tag for r in reps] == [COMPLETE_MULTIPARTITE, TRIANGLE_FREE]
+    assert [r.vertices.bit_count() for r in reps] == [3, 7]
     (rep,) = olariu_decompose(G("Z1"))
     assert rep.tag == VIOLATION and rep.witness is not None
     # witness is an induced paw in the original labelling
@@ -60,16 +67,6 @@ def test_olariu_soundness_exhaustive():
             for rep in olariu_decompose(g):
                 assert rep.tag != VIOLATION
     assert count > 1500
-
-
-def test_multipartite_split():
-    m, n = multipartite_split(disjoint_union(G("K3"), G("C7")))
-    assert len(m) == 1 and len(n) == 1
-    assert m[0].bit_count() == 3 and n[0].bit_count() == 7
-    m, n = multipartite_split(G("C6"))
-    assert m == [] and len(n) == 1
-    m, n = multipartite_split(G("K2,3"))
-    assert n == [] and len(m) == 1
 
 
 def test_indep5_classify():
