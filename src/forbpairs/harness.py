@@ -8,11 +8,12 @@ byte-stable).  An optional pattern list restricts generation to the
 deletion, so augmenting only free parents still reaches every free graph.
 This makes searches inside restrictive classes (the common case) cheap.
 A child of a free parent can contain a pattern only through its new
-vertex, so freeness is settled once per parent: `induced.anchored_copies`
-lists the parent's copies of each pattern less one vertex, and every
-neighbourhood mask of the new vertex that completes one is skipped before
-a graph is built or a canonical form computed.  The full matcher is not on
-this path; it serves `verify --full` and re-validates counterexamples.
+vertex, so freeness is settled once per parent and pattern:
+`induced.anchored_copies` lists the parent's copies of the pattern less
+one vertex, and every neighbourhood mask of the new vertex that completes
+one is skipped before a graph is built or a canonical form computed.
+The full matcher is not on this path; it serves `verify --full` and
+re-validates counterexamples.
 
 Most children are discarded before their canonical form is computed, by a
 canonical-deletion filter after McKay ("Isomorph-free exhaustive
@@ -48,14 +49,17 @@ count before generating anything.
 
 Generation keeps two bounded LRU caches, each keyed by what fixes its
 content.  Neither the invariant filter nor the orbit test depends on the
-pattern set, and neither does a child, which its parent and mask fix.
-So one record per parent, `_parent`, holds the candidate masks plus
-children: the masks that pass both tests, and the children built so
-far, for every class that shares the parent.  `_children` runs the pair
-test only: it drops the candidate masks that complete an anchored copy.
-A record's children are evicted with it.  `PARENT_CACHE_SIZE` (512) comes
-from replaying the parent keys that one benchmark repetition asks for
-(seed 7) through LRU caches of several sizes.  120 small pair classes
+pattern set, and neither does a child, which its parent and mask fix, nor
+the masks that complete one pattern, which its parent and the pattern
+fix.  So one record per parent, `_parent`, holds the candidate masks (the
+masks that pass both tests), the children built so far, and, by pattern,
+the candidate masks that complete it, as the set bits of one int (far
+smaller than a set of masks), for every class that shares the parent.
+`_children` runs the pair test only: it ORs the completing masks of the
+class's patterns and keeps the candidate masks whose bit is clear.  A
+record's children and masks are evicted with it.  `PARENT_CACHE_SIZE` (512) comes from replaying the
+parent keys that one benchmark repetition asks for (seed 7) through LRU
+caches of several sizes.  120 small pair classes
 ask for 53 distinct parents and 211 distinct children, and 64 entries
 hold them all.  Seven classes at n <= 8 ask for 1,211 parents (512
 distinct) and 2,971 children (1,615 distinct): 512 entries hold them
@@ -80,6 +84,21 @@ single levels keyed up to isomorphism (1,032); 16 walks build 1,065, 32
 build 949 and unbounded ones 768.  The walk of all graphs up to order 9
 dominates what the cache holds at any size.  Each benchmark workload
 needs one walk.
+
+Verifies share a third bounded cache: the oracle verdicts, by labelled
+graph and property.  Every generated graph is canonically labelled, so a
+graph that many pairs and classes examine asks for its verdict once, and
+the certificate, a function of the labelled graph, is the same text.  A
+counterexample is re-validated by the uncached oracle, `_certificate`.
+`VERDICT_CACHE_SIZE` (1,024) comes from replaying the keys that the
+verifies ask for.  The 120-pair benchmark survey asks 19,956-21,126
+times for 416 keys (seeds 1, 2, 3 and 7: every graph on 1..6 vertices,
+for both properties); 512 entries hold them all, and 256 miss
+12,154-13,767 times.  One run of the test suite asks 12,303 times for
+6,997 keys: LRU caches of 512, 1,024, 2,048 and 4,096 entries miss
+8,814, 8,432, 8,001 and 7,790 times.  1,024 holds the survey's keys with
+room to spare, and doubling it saves the suite 431 more oracle calls
+only.
 
 Report schema (machine-readable lines)::
 
@@ -124,15 +143,19 @@ WALK_CACHE_SIZE = 24
 # parent records that classes share (module docstring)
 PARENT_CACHE_SIZE = 512
 
+# oracle verdicts that pairs and classes share (module docstring)
+VERDICT_CACHE_SIZE = 1024
+
 
 class _Parent:
     """What a parent fixes whatever the pattern set: the candidate masks,
-    in increasing order, and the canonical children built from it so far,
-    by mask.  A candidate mask is the neighbourhood of a new vertex that
-    has the maximal (degree, neighbour degree sum) of the child, and that
-    no automorphism generator of the parent maps lower."""
+    in increasing order, the canonical children built from it so far, by
+    mask, and the candidate masks that complete each pattern asked about
+    so far, by pattern.  A candidate mask is the neighbourhood of a new
+    vertex that has the maximal (degree, neighbour degree sum) of the
+    child, and that no automorphism generator of the parent maps lower."""
 
-    __slots__ = ("graph", "masks", "children")
+    __slots__ = ("graph", "masks", "children", "blocked")
 
     def __init__(self, parent: Graph):
         rows, n = parent.rows, parent.n
@@ -171,6 +194,27 @@ class _Parent:
                 continue  # an automorphism of the parent maps mask lower
             self.masks.append(mask)
         self.children: dict[int, tuple[bytes, Graph]] = {}
+        self.blocked: dict[Graph, int] = {}
+
+    def completes(self, pattern: Graph) -> int:
+        """The candidate masks whose child contains pattern, as the set
+        bits of one int, for a pattern-free parent: bit `mask` is set when
+        `mask & S == R` for an anchored copy (S, R) of the pattern."""
+        known = self.blocked.get(pattern)
+        if known is None:
+            # the anchored pairs (S, R), as the R values of each S
+            by_s: dict[int, set[int]] = {}
+            for cs, cr in anchored_copies(self.graph, pattern):
+                by_s.setdefault(cs, set()).add(cr)
+            copies = list(by_s.items())
+            known = 0
+            for mask in self.masks:
+                for cs, rs in copies:
+                    if mask & cs in rs:
+                        known |= 1 << mask
+                        break
+            self.blocked[pattern] = known
+        return known
 
     def child(self, mask: int) -> tuple[bytes, Graph]:
         """Canonical code and canonically labelled copy of the parent plus
@@ -197,16 +241,11 @@ def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
     out: dict[bytes, Graph] = {}
     for parent in parents:
         record = _parent(parent)
-        # the anchored pairs (S, R), as the R values of each S
-        by_s: dict[int, set[int]] = {}
-        for cs, cr in () if patterns is None else anchored_copies(parent, patterns):
-            by_s.setdefault(cs, set()).add(cr)
-        copies = list(by_s.items())
+        blocked = 0
+        for p in patterns or ():
+            blocked |= record.completes(p)
         for mask in record.masks:
-            for cs, rs in copies:
-                if mask & cs in rs:
-                    break  # the new vertex completes a pattern copy
-            else:
+            if not blocked >> mask & 1:
                 code, child = record.child(mask)
                 out[code] = child  # equal codes carry identical canonical graphs
     return out
@@ -306,7 +345,7 @@ def _split(items: Sequence, parts: int):
 # ---------------------------------------------------------------------------
 # property checks and certificates
 
-def _property_certificate(g: Graph, prop: str) -> str | None:
+def _certificate(g: Graph, prop: str) -> str | None:
     """None when g satisfies the property, else a certificate string."""
     if prop == "perfect":
         cert = is_perfect_spgt(g)
@@ -320,6 +359,11 @@ def _property_certificate(g: Graph, prop: str) -> str | None:
             return None
         return f"not omega-colourable; chi={chi} > omega={omega}"
     raise ValueError(f"unknown property {prop!r}")
+
+
+# the verdicts of the graphs in use, by labelled graph and property (module
+# docstring); counterexamples are re-validated by `_certificate` itself
+_property_certificate = lru_cache(maxsize=VERDICT_CACHE_SIZE)(_certificate)
 
 
 @dataclass(frozen=True)
@@ -399,7 +443,7 @@ def verify_universal(
 def _revalidate(g: Graph, cls: ClassSpec, patterns, prop: str):
     if not cls.contains(g) or not is_free(g, patterns):
         raise AssertionError("counterexample failed re-validation")
-    if _property_certificate(g, prop) is None:
+    if _certificate(g, prop) is None:
         raise AssertionError("counterexample satisfies the property on re-check")
 
 

@@ -11,12 +11,12 @@ count of each pattern are computed once and kept in a bounded cache.
 Restricted generation does not run the matcher on every child.  A child
 of a {patterns}-free parent that contains a pattern P must use the new
 vertex for some vertex u of P, and the rest of that copy is an induced
-copy of P - u in the parent.  `anchored_copies` lists, once per parent,
-the vertex set S of each such copy and the image R of u's neighbours; the
-child whose new vertex has neighbourhood `mask` contains P exactly when
-`mask & S == R` for one of them.  `contains_induced` and `is_free` stay
-the plain, unanchored check: the tests, `verify --full` and the
-re-validation of counterexamples use them.
+copy of P - u in the parent.  `anchored_copies` lists, once per parent
+and pattern, the vertex set S of each such copy and the image R of u's
+neighbours; the child whose new vertex has neighbourhood `mask` contains
+P exactly when `mask & S == R` for one of them.  `contains_induced` and
+`is_free` stay the plain, unanchored check: the tests, `verify --full`
+and the re-validation of counterexamples use them.
 """
 
 from __future__ import annotations
@@ -123,31 +123,29 @@ def contains_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def anchored_copies(parent: Graph, patterns: Sequence[Graph]) -> set[tuple[int, int]]:
+def anchored_copies(parent: Graph, pattern: Graph) -> set[tuple[int, int]]:
     """The (S, R) pairs that decide freeness of parent's one-vertex extensions.
 
-    parent must be {patterns}-free.  The extension whose new vertex has
-    neighbourhood `mask` (a subset of parent's vertices) contains some
-    pattern exactly when `mask & S == R` for a returned pair: S is the
+    parent must be pattern-free.  The extension whose new vertex has
+    neighbourhood `mask` (a subset of parent's vertices) contains the
+    pattern P exactly when `mask & S == R` for a returned pair: S is the
     vertex set of an induced copy of P - u in parent and R is the image of
-    u's neighbours, for a pattern P and one vertex u of each twin class.
+    u's neighbours, for one vertex u of each twin class of P.
     """
+    if pattern.n == 0:
+        return {(0, 0)}  # every graph contains the empty pattern
     out: set[tuple[int, int]] = set()
-    for p in patterns:
-        if p.n == 0:
-            out.add((0, 0))  # every graph contains the empty pattern
-            continue
-        prow = p.rows
-        for u, order, twin in _plan(p).anchors:
-            nbrs = prow[u]
-            for assign in _embeddings(parent, prow, order, twin):
-                s = r = 0
-                for v in order:
-                    b = 1 << assign[v]
-                    s |= b
-                    if nbrs >> v & 1:
-                        r |= b
-                out.add((s, r))
+    prow = pattern.rows
+    for u, order, twin in _plan(pattern).anchors:
+        nbrs = prow[u]
+        for assign in _embeddings(parent, prow, order, twin):
+            s = r = 0
+            for v in order:
+                b = 1 << assign[v]
+                s |= b
+                if nbrs >> v & 1:
+                    r |= b
+            out.add((s, r))
     return out
 
 

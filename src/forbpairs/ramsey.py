@@ -8,8 +8,9 @@ bounds are sound wherever the thresholds are used, since each threshold
 sits inside an "at least n vertices suffice" statement.  The recurrence
 is filled bottom-up, one row of the smaller argument at a time, so large
 arguments need no deep recursion; a value that takes more than
-`MAX_CELLS` cells of work is refused with a ValueError, where each row
-counts `ROW_CELLS` cells on top of its own.
+`MAX_CELLS` cells of work is refused with a ValueError.  Each row counts
+`ROW_CELLS` cells on top of its own, and each cell counts once plus once
+per `CELL_BITS` bits of the largest entry, R(k, l) <= C(k+l-2, k-1).
 
 Each exact table entry with a witness of at most 17 vertices carries a
 lower-bound certificate: a graph on R(k,l)-1 vertices with no induced kK1
@@ -23,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lgamma, log
 
 from .graphs import Graph, build, complement
 from .graph6 import decode_graph6
@@ -88,11 +90,28 @@ def _validated_witnesses() -> dict[tuple[int, int], Graph]:
     return out
 
 
-# the most recurrence work one value may take (seconds at most).  A row
-# costs about as much time as 8 cells, so counted by cells alone R(3, l),
-# one cell a row, took several times longer than a square table
-MAX_CELLS = 10**7
-ROW_CELLS = 8
+# the most recurrence work one value may take, in cells of small integers.
+# Fitted to process times of value(k, l) on 2 vCPUs (about 0.22 us a cell,
+# all within 10%): a row costs 2 cells, and adding integers of 8,000 bits
+# costs as much as a cell.  value(3002, 3002) takes 7.9M cells (1.6 s).
+# Mid-width tables are refused: value(1500, 6642) (3.2 s) by its 8.8M rows
+# and cells alone, value(2200, 4000) (3.1 s) by 6.4M of them plus 4.6M for
+# the length of its entries
+MAX_CELLS = 8 * 10**6
+ROW_CELLS = 2
+CELL_BITS = 8000
+
+
+def _work(k: int, l: int) -> int:
+    """The estimated cells of recurrence work for R(k, l), 3 <= k <= l.
+    The bits are left out when the rows and cells alone are over
+    `MAX_CELLS`, so a huge l never reaches a float."""
+    cells = (k - 2) * (k - 1) // 2 + (l - k) * (k - 2)  # min(k, b) - 2 in row b
+    work = ROW_CELLS * (l - 2) + cells
+    if work > MAX_CELLS:
+        return work
+    bits = (lgamma(k + l - 1) - lgamma(k) - lgamma(l)) / log(2)
+    return work + round(cells * bits / CELL_BITS)
 
 
 class RamseyTable:
@@ -116,11 +135,10 @@ class RamseyTable:
             return BoundValue(l, True)
         if (k, l) in self._table:
             return BoundValue(self._table[(k, l)], True)
-        cells = (k - 2 + ROW_CELLS) * (l - 2)
-        if cells > MAX_CELLS:
+        work = _work(k, l)
+        if work > MAX_CELLS:
             raise ValueError(
-                f"R({k},{l}) takes {cells} cells of recurrence work, "
-                f"more than {MAX_CELLS}"
+                f"R({k},{l}) takes more than {MAX_CELLS} cells of recurrence work"
             )
         # row b holds r[a] = R(a, b) for 2 <= a <= min(k, b), built from row
         # b - 1 in place; R(a, a - 1) is R(a - 1, a), the entry just left of a

@@ -85,6 +85,7 @@ def test_usage_errors(capsys):
     ["verify", "--pair", "K1,3", "P5", "--class", "G5", "--property", "perfect",
      "--nmax", "5", "--threads", "0"],
     ["catalog", "--nmax", "5", "--threads", "0"],
+    ["bounds", "--ramsey", "1500", "6642"],
 ])
 def test_rejected_input_exits_two(argv, capsys):
     """Input beyond the limits fails at once, with one error line."""

@@ -76,9 +76,7 @@ def _candidate_masks(parent):
     new = parent.n
     out = []
     for mask in range(1 << new):
-        child = Graph(new + 1, [
-            r | 1 << new if mask >> v & 1 else r for v, r in enumerate(parent.rows)
-        ] + [mask])
+        child = _extension(parent, mask)
 
         def invariant(v):
             return child.degree(v), sum(child.degree(u) for u in bits(child.rows[v]))
@@ -106,6 +104,48 @@ def test_candidate_masks_match_their_definition():
             rng.shuffle(perm)
             for parent in (g, relabel(g, perm)):
                 assert _Parent(parent).masks == _candidate_masks(parent), parent.rows
+
+
+def _extension(parent, mask):
+    """The parent plus one vertex whose neighbourhood is mask."""
+    new = parent.n
+    return Graph(new + 1, [
+        r | 1 << new if mask >> v & 1 else r for v, r in enumerate(parent.rows)
+    ] + [mask])
+
+
+def test_completion_masks_match_the_matcher():
+    """`_Parent.completes(p)` holds the bit of exactly the candidate masks
+    whose child the full matcher finds p in.  Parents are the graphs on at
+    most 6 vertices, canonically labelled and shuffled, that are p-free;
+    a pattern on at most one vertex is in every child, so there every
+    parent is checked.  Patterns are those of the nine classes, K1 and the
+    order-0 graph."""
+    import random
+
+    from forbpairs.graphs import relabel
+    from forbpairs.harness import _Parent
+    from forbpairs.induced import contains_induced
+
+    patterns = list(dict.fromkeys(
+        [G(s) for pair in PATTERN_PAIRS for s in pair] + [G("K1"), Graph(0, ())]
+    ))
+    rng = random.Random(13)
+    for n in range(7):
+        for g in generate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for parent in (g, relabel(g, perm)):
+                record = _Parent(parent)
+                for p in patterns:
+                    if p.n > 1 and not is_free(parent, [p]):
+                        continue
+                    want = sum(
+                        1 << m for m in record.masks
+                        if contains_induced(_extension(parent, m), p) is not None
+                    )
+                    assert record.completes(p) == want, (parent.rows, p.rows)
+                    assert record.blocked[p] == want  # kept for the next class
 
 
 def test_order_zero_honours_empty_pattern():
@@ -404,6 +444,76 @@ def test_levels_do_not_depend_on_cache_state():
     harness._walk.cache_clear()
     warm = [[generate_graphs(n, pats) for n in range(1, 8)] for pats in classes]
     assert warm == cold
+
+
+def test_revalidation_ignores_the_verdict_cache(monkeypatch):
+    """A cached certificate for a perfect graph is caught: re-validation
+    asks the uncached oracle, so the verify fails instead of reporting it."""
+    from types import SimpleNamespace
+
+    from forbpairs import harness
+
+    pair = PairSpec(G("3K1"), G("K4"))
+    c4 = canonical_graph(G("C4"))  # as generated
+    assert c4 in generate_graphs(4, [pair.x, pair.y])
+    assert harness._certificate(c4, "perfect") is None
+    fake = SimpleNamespace(perfect=False, describe=lambda: "poisoned")
+    harness._property_certificate.cache_clear()
+    try:
+        monkeypatch.setattr(harness, "is_perfect_spgt", lambda g: fake)
+        assert harness._property_certificate(c4, "perfect") == "poisoned"
+        monkeypatch.undo()
+        assert harness._property_certificate(c4, "perfect") == "poisoned"
+        with pytest.raises(AssertionError, match="satisfies the property on re-check"):
+            verify_universal(pair, NAMED_CLASSES["G"], "perfect", 4)
+    finally:
+        harness._property_certificate.cache_clear()
+
+
+def test_reports_do_not_depend_on_the_verdict_cache():
+    """The nine classes' verifies in Gc and Galpha at n <= 6 give the same
+    text with every cache empty as with the levels built again and the
+    verdicts of earlier verifies cached, and the second such pass computes
+    no verdict."""
+    from forbpairs import harness
+
+    caches = (harness._walk, harness._parent, harness._property_certificate)
+    runs = [
+        (PairSpec(G(x), G(y)), cls, prop)
+        for x, y in PATTERN_PAIRS for cls in ("Gc", "Galpha") for prop in ("perfect", "omega")
+    ]
+
+    def text(pair, cls, prop):
+        return verify_universal(pair, NAMED_CLASSES[cls], prop, 6, class_name=cls).to_text()
+
+    cold = []
+    for run in runs:
+        for cache in caches:
+            cache.cache_clear()
+        cold.append(text(*run))
+    for _ in range(2):  # the second pass finds every verdict cached
+        for cache in caches[:2]:
+            cache.cache_clear()
+        misses = harness._property_certificate.cache_info().misses
+        assert [text(*run) for run in runs] == cold
+    assert harness._property_certificate.cache_info().misses == misses
+
+
+def test_verdict_cache_is_bounded():
+    """The verdict cache holds at most `VERDICT_CACHE_SIZE` verdicts."""
+    from forbpairs import harness
+
+    bound = harness.VERDICT_CACHE_SIZE
+    cache = harness._property_certificate
+    assert cache.cache_info().maxsize == bound
+    cache.cache_clear()
+    graphs = [g for n in range(1, 8) for g in generate_graphs(n)]
+    assert len(graphs) > bound
+    for g in graphs:
+        assert cache(g, "omega") == harness._certificate(g, "omega")
+        assert cache.cache_info().currsize <= bound
+    assert cache.cache_info().currsize == bound
+    cache.cache_clear()
 
 
 def test_hunt_smallest_witnesses():

@@ -122,7 +122,7 @@ def _check_anchored(orders):
             for parent in generate_graphs(n):
                 if not is_free(parent, [p]):
                     continue
-                copies = anchored_copies(parent, [p])
+                copies = anchored_copies(parent, p)
                 masks = range(1 << parent.n)
                 by_pairs = {m for m in masks if any(m & s == r for s, r in copies)}
                 by_matcher = {m for m in masks if not is_free(_extension(parent, m), [p])}
@@ -141,6 +141,6 @@ def test_anchored_copies_against_matcher_seven():
 def test_empty_pattern_rejects_every_child():
     k0 = Graph(0, ())
     for parent in generate_graphs(3):
-        assert anchored_copies(parent, [k0]) == {(0, 0)}
+        assert anchored_copies(parent, k0) == {(0, 0)}
     assert generate_graphs(1, [k0]) == [] and generate_graphs(3, [k0]) == []
     assert generate_graphs(2, [G("K1")]) == []

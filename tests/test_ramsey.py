@@ -74,6 +74,24 @@ def test_long_narrow_tables_are_refused_at_once():
         ramsey(3, 10**7 + 2)
 
 
+def test_mid_width_tables_are_refused_at_once():
+    """The bit length of the entries counts.  value(2200, 4000) has 6.4M
+    rows and cells, under `MAX_CELLS`, but its long entries make it take
+    3.1 s against 1.6 s for value(3002, 3002) (2 vCPUs).  It is refused
+    before any work, like value(1500, 6642) (3.2 s); value(3002, 3002) is
+    not."""
+    import time
+
+    from forbpairs.ramsey import MAX_CELLS, _work
+
+    for k, l in [(2200, 4000), (1500, 6642)]:
+        start = time.process_time()
+        with pytest.raises(ValueError, match="more than"):
+            ramsey(k, l)
+        assert time.process_time() - start < 0.5
+    assert _work(3002, 3002) <= MAX_CELLS
+
+
 def test_witnesses_are_certificates():
     for k, l in [(3, 3), (3, 4), (3, 5), (3, 6), (4, 4)]:
         w = witness(k, l)
