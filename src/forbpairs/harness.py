@@ -9,11 +9,13 @@ deletion, so augmenting only free parents still reaches every free graph.
 This makes searches inside restrictive classes (the common case) cheap.
 A child of a free parent can contain a pattern only through its new
 vertex, so freeness is settled once per parent and pattern:
-`induced.anchored_copies` lists the parent's copies of the pattern less
-one vertex, and every neighbourhood mask of the new vertex that completes
-one is skipped before a graph is built or a canonical form computed.
-The full matcher is not on this path; it serves `verify --full` and
-re-validates counterexamples.
+`induced.completing_masks` searches the parent for copies of the pattern
+less one vertex u, one u per orbit of the pattern's automorphism group,
+carrying the parent's candidate masks that such a copy can still
+complete and cutting a branch that leaves none (the `induced` module
+docstring gives the argument).  Every mask it returns is skipped before a
+graph is built or a canonical form computed.  The full matcher is not on
+this path; it serves `verify --full` and re-validates counterexamples.
 
 Most children are discarded before their canonical form is computed, by a
 canonical-deletion filter after McKay ("Isomorph-free exhaustive
@@ -100,6 +102,17 @@ for both properties); 512 entries hold them all, and 256 miss
 room to spare, and doubling it saves the suite 431 more oracle calls
 only.
 
+A fourth bounded cache, `_in_class`, holds class membership by class and
+labelled graph, for the same reason: the pairs of a survey ask the same
+classes about the same small graphs.  A miss calls `cls.contains` at call
+time; a counterexample is re-validated by `cls.contains` itself.
+`CLASS_CACHE_SIZE` (4,096) comes from replaying the recorded keys.  The
+120-pair survey asks 29,350-29,444 times for 2,079-2,080 keys (seeds 1,
+2, 3 and 7); 4,096 entries hold them all, and 2,048 miss 66-126 times
+more.  One run of the test suite asks 33,307 times for 15,985 keys: LRU
+caches of 2,048, 4,096 and 8,192 entries miss 20,240, 19,541 and 18,571
+times.
+
 Report schema (machine-readable lines)::
 
     counterexample\t<graph6>\t<property>\t<certificate>
@@ -126,7 +139,7 @@ from .graphs import (
     relabel,
 )
 from .graph6 import encode_graph6
-from .induced import anchored_copies, contains_induced, is_free
+from .induced import completing_masks, contains_induced, is_free
 from .pairs import ClassSpec, PairSpec
 from .perfection import is_perfect_spgt
 from .twins import twin_collapse
@@ -145,6 +158,9 @@ PARENT_CACHE_SIZE = 512
 
 # oracle verdicts that pairs and classes share (module docstring)
 VERDICT_CACHE_SIZE = 1024
+
+# class memberships that pairs share (module docstring)
+CLASS_CACHE_SIZE = 4096
 
 
 class _Parent:
@@ -199,21 +215,10 @@ class _Parent:
     def completes(self, pattern: Graph) -> int:
         """The candidate masks whose child contains pattern, as the set
         bits of one int, for a pattern-free parent: bit `mask` is set when
-        `mask & S == R` for an anchored copy (S, R) of the pattern."""
+        `mask & S == R` for an anchored pair (S, R) of the pattern."""
         known = self.blocked.get(pattern)
         if known is None:
-            # the anchored pairs (S, R), as the R values of each S
-            by_s: dict[int, set[int]] = {}
-            for cs, cr in anchored_copies(self.graph, pattern):
-                by_s.setdefault(cs, set()).add(cr)
-            copies = list(by_s.items())
-            known = 0
-            for mask in self.masks:
-                for cs, rs in copies:
-                    if mask & cs in rs:
-                        known |= 1 << mask
-                        break
-            self.blocked[pattern] = known
+            known = self.blocked[pattern] = completing_masks(self.graph, pattern, self.masks)
         return known
 
     def child(self, mask: int) -> tuple[bytes, Graph]:
@@ -366,6 +371,14 @@ def _certificate(g: Graph, prop: str) -> str | None:
 _property_certificate = lru_cache(maxsize=VERDICT_CACHE_SIZE)(_certificate)
 
 
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _in_class(cls: ClassSpec, g: Graph) -> bool:
+    """Class membership of the graphs in use, by class and labelled graph
+    (module docstring); counterexamples are re-validated by `cls.contains`
+    itself."""
+    return cls.contains(g)
+
+
 @dataclass(frozen=True)
 class Counterexample:
     graph6: str
@@ -426,7 +439,7 @@ def verify_universal(
     )
     for g in generate_upto(n_max, patterns if restricted else None, threads):
         report.examined[g.n] += 1
-        if not cls.contains(g):
+        if not _in_class(cls, g):
             continue
         if not restricted and not is_free(g, patterns):
             continue

@@ -477,7 +477,9 @@ def test_reports_do_not_depend_on_the_verdict_cache():
     no verdict."""
     from forbpairs import harness
 
-    caches = (harness._walk, harness._parent, harness._property_certificate)
+    caches = (
+        harness._walk, harness._parent, harness._property_certificate, harness._in_class
+    )
     runs = [
         (PairSpec(G(x), G(y)), cls, prop)
         for x, y in PATTERN_PAIRS for cls in ("Gc", "Galpha") for prop in ("perfect", "omega")
@@ -514,6 +516,49 @@ def test_verdict_cache_is_bounded():
         assert cache.cache_info().currsize <= bound
     assert cache.cache_info().currsize == bound
     cache.cache_clear()
+
+
+def test_class_cache_is_bounded():
+    """The class-membership cache holds at most `CLASS_CACHE_SIZE` entries
+    and gives what `ClassSpec.contains` gives."""
+    from forbpairs import harness
+
+    bound = harness.CLASS_CACHE_SIZE
+    cache = harness._in_class
+    assert cache.cache_info().maxsize == bound
+    cache.cache_clear()
+    graphs = [g for n in range(1, 8) for g in generate_graphs(n)]
+    classes = list(NAMED_CLASSES.values())
+    assert len(graphs) * len(classes) > bound
+    for cls in classes:
+        for g in graphs:
+            assert cache(cls, g) == cls.contains(g)
+            assert cache.cache_info().currsize <= bound
+    assert cache.cache_info().currsize == bound
+    cache.cache_clear()
+
+
+def test_revalidation_ignores_the_class_cache(monkeypatch):
+    """A cached membership of a disconnected graph in Gc is caught:
+    re-validation asks `ClassSpec.contains` itself, so the verify fails
+    instead of reporting the graph."""
+    from forbpairs import harness
+    from forbpairs.pairs import ClassSpec
+
+    pair, gc = PairSpec(G("K3"), G("4K1")), NAMED_CLASSES["Gc"]
+    c5k1 = canonical_graph(G("C5+K1"))  # as generated, and imperfect
+    assert c5k1 in generate_graphs(6, [pair.x, pair.y])
+    assert not gc.contains(c5k1)
+    harness._in_class.cache_clear()
+    try:
+        monkeypatch.setattr(ClassSpec, "contains", lambda self, g: True)
+        assert harness._in_class(gc, c5k1)
+        monkeypatch.undo()
+        assert harness._in_class(gc, c5k1)
+        with pytest.raises(AssertionError, match="failed re-validation"):
+            verify_universal(pair, gc, "perfect", 6)
+    finally:
+        harness._in_class.cache_clear()
 
 
 def test_hunt_smallest_witnesses():

@@ -5,10 +5,11 @@ import pytest
 
 from forbpairs.canon import canonical_code, isomorphic
 from forbpairs.expr import graph_from_expr as G
-from forbpairs.graphs import Graph, build, complement, induced_on_mask
+from forbpairs.graphs import Graph, bits, build, complement, induced_on_mask, relabel
 from forbpairs.harness import generate_graphs
 from forbpairs.induced import (
-    anchored_copies,
+    _anchors,
+    completing_masks,
     contains_induced,
     first_violation,
     induced_closure,
@@ -115,32 +116,62 @@ ANCHOR_PATTERNS = [p for n in range(1, 5) for p in generate_graphs(n)] + [
 
 
 def _check_anchored(orders):
-    """The masks the anchored pairs reject are exactly the one-vertex
-    extensions of each P-free parent that the full matcher finds P in."""
+    """The search over all masks finds exactly the one-vertex extensions of
+    each P-free parent that the full matcher finds P in."""
     for p in ANCHOR_PATTERNS:
         for n in orders:
             for parent in generate_graphs(n):
                 if not is_free(parent, [p]):
                     continue
-                copies = anchored_copies(parent, p)
                 masks = range(1 << parent.n)
-                by_pairs = {m for m in masks if any(m & s == r for s, r in copies)}
-                by_matcher = {m for m in masks if not is_free(_extension(parent, m), [p])}
-                assert by_pairs == by_matcher, (p, parent)
+                by_search = completing_masks(parent, p, masks)
+                by_matcher = sum(
+                    1 << m for m in masks if not is_free(_extension(parent, m), [p])
+                )
+                assert by_search == by_matcher, (p, parent)
 
 
-def test_anchored_copies_against_matcher():
+def test_completing_masks_against_matcher():
     _check_anchored(range(7))
 
 
 @pytest.mark.slow
-def test_anchored_copies_against_matcher_seven():
+def test_completing_masks_against_matcher_seven():
     _check_anchored([7])
 
 
 def test_empty_pattern_rejects_every_child():
     k0 = Graph(0, ())
     for parent in generate_graphs(3):
-        assert anchored_copies(parent, k0) == {(0, 0)}
+        masks = range(1 << parent.n)
+        assert completing_masks(parent, k0, masks) == (1 << (1 << parent.n)) - 1
     assert generate_graphs(1, [k0]) == [] and generate_graphs(3, [k0]) == []
     assert generate_graphs(2, [G("K1")]) == []
+
+
+def _brute_orbits(g):
+    """The orbits of Aut(g), from all n! permutations."""
+    rows, n = g.rows, g.n
+    orbit = {v: {v} for v in range(n)}
+    for p in itertools.permutations(range(n)):
+        if all(
+            sum(1 << p[v] for v in bits(rows[u])) == rows[p[u]] for u in range(n)
+        ):
+            for v in range(n):
+                orbit[v].add(p[v])
+    return {frozenset(o) for o in orbit.values()}
+
+
+def test_one_anchor_per_orbit():
+    """The search anchors one vertex in each orbit of Aut(P), for every
+    graph on at most 5 vertices, canonically and randomly labelled."""
+    rng = random.Random(5)
+    for n in range(1, 6):
+        for g in generate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for p in (g, relabel(g, perm)):
+                anchors = [a.u for a in _anchors(p)]
+                orbits = _brute_orbits(p)
+                assert len(anchors) == len(orbits), p
+                assert all(len(o.intersection(anchors)) == 1 for o in orbits), p
