@@ -82,6 +82,14 @@ class _Parser:
             self.pos += 1
         return self.text[start : self.pos]
 
+    def check_order(self, at: int, n: int) -> None:
+        """Reject the atom read from `at` when it has n > MAX_VERTICES
+        vertices, before any edge list is built."""
+        if n > MAX_VERTICES:
+            atom = self.text[at : self.pos].strip()
+            self.pos = at
+            raise self.error(f"{atom} exceeds the {MAX_VERTICES}-vertex cap")
+
     def parse(self) -> Node:
         node = self.parse_union()
         if self.pos != len(self.text):
@@ -138,18 +146,21 @@ class _Parser:
             if any(v < 1 for v in nums):
                 self.pos = at
                 raise self.error("K parts must be at least 1")
+            self.check_order(at, sum(nums))
             return Atom("K", tuple(nums))
         if word == "P":
             n = self.read_int()
             if n < 1:
                 self.pos = at
                 raise self.error("P needs at least 1 vertex")
+            self.check_order(at, n)
             return Atom("P", (n,))
         if word == "C":
             n = self.read_int()
             if n < 3:
                 self.pos = at
                 raise self.error("C needs at least 3 vertices")
+            self.check_order(at, n)
             return Atom("C", (n,))
         if word == "Z":
             n = self.read_int()

@@ -13,9 +13,11 @@ vertex, so freeness is settled once per parent and pattern:
 less one vertex u, one u per orbit of the pattern's automorphism group,
 carrying the parent's candidate masks that such a copy can still
 complete and cutting a branch that leaves none (the `induced` module
-docstring gives the argument).  Every mask it returns is skipped before a
-graph is built or a canonical form computed.  The full matcher is not on
-this path; it serves `verify --full` and re-validates counterexamples.
+docstring gives the argument).  It returns bit i for the parent's i-th
+candidate mask, and every mask it sets is skipped before a graph is built
+or a canonical form computed.  The full matcher, which places patterns
+over the same level table, is not on this path; it serves `verify --full`
+and re-validates counterexamples.
 
 Most children are discarded before their canonical form is computed, by a
 canonical-deletion filter after McKay ("Isomorph-free exhaustive
@@ -55,19 +57,20 @@ pattern set, and neither does a child, which its parent and mask fix, nor
 the masks that complete one pattern, which its parent and the pattern
 fix.  So one record per parent, `_parent`, holds the candidate masks (the
 masks that pass both tests), the children built so far, and, by pattern,
-the candidate masks that complete it, as the set bits of one int (far
-smaller than a set of masks), for every class that shares the parent.
-`_children` runs the pair test only: it ORs the completing masks of the
-class's patterns and keeps the candidate masks whose bit is clear.  A
-record's children and masks are evicted with it.  `PARENT_CACHE_SIZE` (512) comes from replaying the
-parent keys that one benchmark repetition asks for (seed 7) through LRU
-caches of several sizes.  120 small pair classes
-ask for 53 distinct parents and 211 distinct children, and 64 entries
-hold them all.  Seven classes at n <= 8 ask for 1,211 parents (512
-distinct) and 2,971 children (1,615 distinct): 512 entries hold them
-all, 384 miss 42 parents and 83 children more, and 256 miss 423 parents
-and 963 children more.  Unrestricted generation up to order 8 repeats no
-parent, so there the cache only costs memory.
+the candidate masks that complete it, as the set bits of one int, bit i
+for `masks[i]` (one bit per candidate, not per possible mask), for every
+class that shares the parent.  `_children` runs the pair test only: it
+ORs the completing masks of the class's patterns and keeps the candidate
+masks whose bit is clear.  A record's children and masks are evicted
+with it.  `PARENT_CACHE_SIZE` (512) comes from replaying the parent keys
+that one benchmark repetition asks for (seed 7) through LRU caches of
+several sizes.  120 small pair classes ask for 53 distinct parents and
+211 distinct children, and 64 entries hold them all.  Seven classes at
+n <= 8 ask for 1,211 parents (512 distinct) and 2,971 children (1,615
+distinct): 512 entries hold them all, 384 miss 42 parents and 83
+children more, and 256 miss 423 parents and 963 children more.
+Unrestricted generation up to order 8 repeats no parent, so there the
+cache only costs memory.
 
 The other cache, `_walk`, holds one walk per class: the levels built so
 far, from order 0 up.  Every caller reads a class as a walk over orders
@@ -214,8 +217,8 @@ class _Parent:
 
     def completes(self, pattern: Graph) -> int:
         """The candidate masks whose child contains pattern, as the set
-        bits of one int, for a pattern-free parent: bit `mask` is set when
-        `mask & S == R` for an anchored pair (S, R) of the pattern."""
+        bits of one int, for a pattern-free parent: bit i is set when
+        `masks[i] & S == R` for an anchored pair (S, R) of the pattern."""
         known = self.blocked.get(pattern)
         if known is None:
             known = self.blocked[pattern] = completing_masks(self.graph, pattern, self.masks)
@@ -249,8 +252,8 @@ def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
         blocked = 0
         for p in patterns or ():
             blocked |= record.completes(p)
-        for mask in record.masks:
-            if not blocked >> mask & 1:
+        for i, mask in enumerate(record.masks):
+            if not blocked >> i & 1:
                 code, child = record.child(mask)
                 out[code] = child  # equal codes carry identical canonical graphs
     return out

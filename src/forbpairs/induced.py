@@ -1,12 +1,15 @@
 """Induced-subgraph containment, pattern completion search and closure enumeration.
 
-The matcher is a backtracking search over pattern vertices in descending
-degree order with bitmask forward checking: every unplaced pattern vertex
-keeps a mask of still-compatible host vertices, updated as vertices are
-placed.  Interchangeable pattern vertices (twins) are forced into
-increasing host order, which turns the k! placements of patterns such as
-kK1 into a single one.  The search order, the twin chain and the edge
-count of each pattern are computed once and kept in a bounded cache.
+Both pattern searches run over one level table, `_Levels`: the pattern
+vertices in a placement order, each level's adjacency to the later ones,
+and twin links.  They place pattern vertices level by level with bitmask
+forward checking: every later level keeps a domain of still-compatible
+host vertices, narrowed as each host vertex is placed.  Interchangeable
+pattern vertices (twins) are forced into increasing host order, which
+turns the k! placements of patterns such as kK1 into a single one.
+
+The matcher, `contains_induced`, places all of a pattern in descending
+degree order and stops at its first copy.
 
 Restricted generation does not run the matcher on every child.  A child
 of a {patterns}-free parent that contains a pattern P must use the new
@@ -23,7 +26,7 @@ the candidates, not the pairs, in one search per parent and pattern:
   copy f o s of P - u with the same S and R, so the other vertices of the
   orbit add no pair.
 - P - u is placed with u's non-neighbours first, then by degree, under
-  the twin chain of P (two twins of P other than u are both adjacent to
+  the twin links of P (two twins of P other than u are both adjacent to
   u or both not, so swapping them changes neither S nor R).  A candidate mask
   has the maximal degree of its child, so "outside the mask" is the
   tight constraint, and it cuts highest up.
@@ -35,91 +38,57 @@ the candidates, not the pairs, in one search per parent and pattern:
   with `mask & S == R`, which are marked, and the search stops once every
   candidate is marked.
 
-The per-anchor tables (order, adjacency of the later levels, neighbour
-flags and twin links) are kept in a bounded cache of their own, of 256
-patterns like the matcher's plans (the benchmark's pair survey draws its
-patterns from the 51 graphs on 2 to 5 vertices), so `contains_induced`
-computes no orbits.  `contains_induced` and `is_free` stay the plain,
-unanchored check: the tests, `verify --full` and the re-validation of
+The matcher's table and the anchors' tables are each kept in a bounded
+cache of 256 patterns (the benchmark's pair survey draws its patterns
+from the 51 graphs on 2 to 5 vertices), so `contains_induced` computes
+no orbits.  `contains_induced` and `is_free` stay the plain, unanchored
+check: the tests, `verify --full` and the re-validation of
 counterexamples use them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .canon import automorphism_generators, canonical_form
 from .graphs import Graph, bits, induced_on_mask, relabel, twins
 
 
-class _Plan(NamedTuple):
-    """How to search for one pattern; `twin[v]` is the latest twin of v
-    placed before it in `order`, or -1."""
+class _Levels(NamedTuple):
+    """Pattern vertices placed in levels: `order[j]` is the vertex at level
+    j, `adj[j]` lists each later level with whether it is adjacent to level
+    j, and `twin[j]` is the latest earlier level that holds a twin of level
+    j in the pattern, or -1.  `u` is the one vertex left out, or -1."""
 
     order: tuple[int, ...]
+    adj: tuple[tuple[tuple[int, bool], ...], ...]
     twin: tuple[int, ...]
-    edges: int
+    u: int
 
 
-def _twin_chain(prow: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
-    twin = [-1] * len(prow)
+def _levels(prow: Sequence[int], order: Sequence[int], u: int) -> _Levels:
+    twin = [-1] * len(order)
     for j, v in enumerate(order):
-        for u in order[:j]:
-            if twins(prow, u, v):
-                twin[v] = u
-    return tuple(twin)
+        for i in range(j):
+            if twins(prow, order[i], v):
+                twin[j] = i
+    return _Levels(
+        tuple(order),
+        tuple(
+            tuple((l, bool(prow[v] >> w & 1)) for l, w in enumerate(order) if l > j)
+            for j, v in enumerate(order)
+        ),
+        tuple(twin),
+        u,
+    )
 
 
 @lru_cache(maxsize=256)
-def _plan(pattern: Graph) -> _Plan:
-    prow = pattern.rows
-    order = tuple(sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v)))
-    return _Plan(order, _twin_chain(prow, order), pattern.edge_count())
-
-
-def _embeddings(
-    host: Graph, prow: Sequence[int], order: Sequence[int], twin: Sequence[int]
-) -> Iterator[list[int]]:
-    """Every induced placement of the pattern vertices in `order`, up to
-    swapping twins that are chained in `twin`.
-
-    Yields one list (pattern vertex -> host vertex, -1 for vertices not in
-    `order`), updated in place between yields.
-    """
-    k = len(order)
-    full = (1 << host.n) - 1
-    hrow = host.rows
-    hnon = [full ^ r ^ (1 << v) for v, r in enumerate(hrow)]
-    assign = [-1] * len(prow)
-
-    def place(level: int, masks: Sequence[int], used: int) -> Iterator[list[int]]:
-        q = order[level]
-        cand = masks[q] & ~used
-        t = twin[q]
-        if t != -1:
-            cand &= ~((2 << assign[t]) - 1)
-        for hv in bits(cand):
-            assign[q] = hv
-            if level + 1 == k:
-                yield assign
-                continue
-            nxt = list(masks)
-            ok = True
-            for r in order[level + 1 :]:
-                m = nxt[r] & (hrow[hv] if prow[q] >> r & 1 else hnon[hv])
-                if not m:
-                    ok = False
-                    break
-                nxt[r] = m
-            if ok:
-                yield from place(level + 1, nxt, used | 1 << hv)
-        assign[q] = -1
-
-    if k == 0:
-        yield assign
-    elif k <= host.n:
-        yield from place(0, [full] * len(prow), 0)
+def _plan(pattern: Graph) -> _Levels:
+    """All of the pattern, by descending degree."""
+    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
+    return _levels(pattern.rows, order, -1)
 
 
 def contains_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
@@ -128,36 +97,51 @@ def contains_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
     The embedding preserves adjacency both ways, making the image an
     induced copy of the pattern.
     """
-    np_, nh = pattern.n, host.n
-    if np_ > nh:
+    k, nh = pattern.n, host.n
+    if k > nh:
         return None
-    plan = _plan(pattern)
-    h_edges = host.edge_count()
-    if plan.edges > h_edges:
+    p_edges, h_edges = pattern.edge_count(), host.edge_count()
+    if p_edges > h_edges or k * (k - 1) // 2 - p_edges > nh * (nh - 1) // 2 - h_edges:
         return None
-    if np_ * (np_ - 1) // 2 - plan.edges > nh * (nh - 1) // 2 - h_edges:
+    if k == 0:
+        return ()
+    order, adj, twin, _ = _plan(pattern)
+    hrow = host.rows
+    every = (1 << nh) - 1
+    hnon = [every ^ r ^ (1 << h) for h, r in enumerate(hrow)]
+    at = [0] * k  # the host vertex at each level
+
+    def place(j: int, doms: list[int]) -> bool:
+        cand = doms[j]
+        t = twin[j]
+        if t != -1:
+            cand &= ~((2 << at[t]) - 1)
+        later = adj[j]
+        for h in bits(cand):
+            at[j] = h
+            if j + 1 == k:
+                return True
+            r, nr = hrow[h], hnon[h]
+            nxt = doms[:]
+            for l, e in later:
+                m = nxt[l] & (r if e else nr)
+                if not m:
+                    break
+                nxt[l] = m
+            else:
+                if place(j + 1, nxt):
+                    return True
+        return False
+
+    if not place(0, [every] * k):
         return None
-    for assign in _embeddings(host, pattern.rows, plan.order, plan.twin):
-        return tuple(assign)
-    return None
-
-
-class _Anchor(NamedTuple):
-    """The search for the copies of P - u, u one vertex of P, with P - u
-    placed in levels: u's non-neighbours first, then by degree.  `nbr[j]`
-    says whether level j is adjacent to u, `adj[j]` lists each later level
-    with whether it is adjacent to level j, and `twin[j]` is the latest
-    earlier level that holds a twin of level j in P, or -1."""
-
-    u: int
-    nbr: tuple[bool, ...]
-    adj: tuple[tuple[tuple[int, bool], ...], ...]
-    twin: tuple[int, ...]
+    return tuple(h for _, h in sorted(zip(order, at)))  # by pattern vertex
 
 
 @lru_cache(maxsize=256)
-def _anchors(pattern: Graph) -> tuple[_Anchor, ...]:
-    """One anchor per orbit of Aut(pattern), its least vertex."""
+def _anchors(pattern: Graph) -> tuple[_Levels, ...]:
+    """P - u for one anchor u per orbit of Aut(pattern), its least vertex,
+    with u's non-neighbours first, then by degree."""
     prow, n = pattern.rows, pattern.n
     gens = automorphism_generators(pattern)
     out = []
@@ -178,23 +162,13 @@ def _anchors(pattern: Graph) -> tuple[_Anchor, ...]:
             (v for v in range(n) if v != u),
             key=lambda v: (prow[u] >> v & 1, -pattern.degree(v), v),
         )
-        twin = _twin_chain(prow, order)
-        level = {v: j for j, v in enumerate(order)}
-        out.append(_Anchor(
-            u,
-            tuple(bool(prow[u] >> v & 1) for v in order),
-            tuple(
-                tuple((l, bool(prow[v] >> w & 1)) for l, w in enumerate(order) if l > j)
-                for j, v in enumerate(order)
-            ),
-            tuple(level[twin[v]] if twin[v] != -1 else -1 for v in order),
-        ))
+        out.append(_levels(prow, order, u))
     return tuple(out)
 
 
 def completing_masks(parent: Graph, pattern: Graph, masks: Sequence[int]) -> int:
     """The masks whose extension of parent contains pattern, as the set bits
-    (bit `mask`) of one int.
+    of one int: bit i stands for `masks[i]`.
 
     parent must be pattern-free, and each mask is the neighbourhood of the
     new vertex, a subset of parent's vertices.  The extension contains the
@@ -203,12 +177,12 @@ def completing_masks(parent: Graph, pattern: Graph, masks: Sequence[int]) -> int
     of u's neighbours.  The search decides that for all the masks together,
     carrying the masks still consistent with the vertices placed so far.
     """
+    full = (1 << len(masks)) - 1
     if pattern.n <= 1 or not masks:
-        return sum(1 << m for m in masks)  # a child holds any pattern on <= 1 vertex
+        return full  # a child holds any pattern on <= 1 vertex
     n, hrow = parent.n, parent.rows
     if pattern.n - 1 > n:
         return 0
-    full = (1 << len(masks)) - 1
     inside = [0] * n  # inside[h]: the masks that hold host vertex h, by index
     for i, m in enumerate(masks):
         for h in bits(m):
@@ -226,7 +200,7 @@ def completing_masks(parent: Graph, pattern: Graph, masks: Sequence[int]) -> int
         t = twin[j]
         if t != -1:
             cand &= ~((2 << at[t]) - 1)
-        keep = inside if nbr[j] else outside
+        keep = inside if nbr >> order[j] & 1 else outside
         later = adj[j]
         for h in bits(cand):
             now = alive & keep[h] & ~done
@@ -250,11 +224,12 @@ def completing_masks(parent: Graph, pattern: Graph, masks: Sequence[int]) -> int
                 if done == full:
                     return
 
-    for _, nbr, adj, twin in _anchors(pattern):
+    for order, adj, twin, u in _anchors(pattern):
+        nbr = pattern.rows[u]
         place(0, [every] * k, full)
         if done == full:
             break
-    return sum(1 << m for i, m in enumerate(masks) if done >> i & 1)
+    return done
 
 
 def first_violation(

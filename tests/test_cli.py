@@ -64,6 +64,11 @@ def test_usage_errors(capsys):
     assert main(["nonsense"]) == 2
     assert main(["expr", "K0"]) == 2
     assert main(["bounds", "--threshold", "bogus", "3"]) == 2
+    capsys.readouterr()
+    assert main(["expr", "K65"]) == 2  # refused by the parser, not by build
+    assert capsys.readouterr().err.splitlines() == [
+        "error: K65 exceeds the 64-vertex cap (at position 0)"
+    ]
 
 
 @pytest.mark.parametrize("argv", [

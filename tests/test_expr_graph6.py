@@ -25,6 +25,8 @@ def test_parse_shapes():
     assert parse_expr("co(K3+P4)") == Complement(Union(Atom("K", (3,)), Atom("P", (4,))))
     assert parse_expr("K1,3") == Atom("K", (1, 3))
     assert parse_expr(" K1 + P3 ") == Union(Atom("K", (1,)), Atom("P", (3,)))
+    assert parse_expr("K64") == Atom("K", (64,))
+    assert parse_expr("K32,32") == Atom("K", (32, 32))
 
 
 @pytest.mark.parametrize("bad", [
@@ -38,12 +40,19 @@ def test_parse_rejects(bad):
 
 def test_parse_error_messages():
     """A union ends at its first other character: inside co(...) that
-    must be ')', at the top level the end of the text."""
+    must be ')', at the top level the end of the text.  A K, P or C atom
+    above the 64-vertex cap fails at the atom, before any edge list is
+    built."""
     for text, message, pos in [
         ("co(K3", "expected ')'", 5),
         ("co(K1+K2 K3)", "expected ')'", 9),
         ("K3)", "unexpected trailing input", 2),
         ("co(K3))", "unexpected trailing input", 6),
+        ("K65", "K65 exceeds the 64-vertex cap", 0),
+        ("K40,25", "K40,25 exceeds the 64-vertex cap", 0),
+        ("P65", "P65 exceeds the 64-vertex cap", 0),
+        ("C65", "C65 exceeds the 64-vertex cap", 0),
+        ("K1+ C65", "C65 exceeds the 64-vertex cap", 4),
     ]:
         with pytest.raises(ExprError, match=re.escape(message)) as info:
             parse_expr(text)

@@ -115,12 +115,12 @@ def _extension(parent, mask):
 
 
 def test_completion_masks_match_the_matcher():
-    """`_Parent.completes(p)` holds the bit of exactly the candidate masks
-    whose child the full matcher finds p in.  Parents are the graphs on at
-    most 6 vertices, canonically labelled and shuffled, that are p-free;
-    a pattern on at most one vertex is in every child, so there every
-    parent is checked.  Patterns are those of the nine classes, K1 and the
-    order-0 graph."""
+    """`_Parent.completes(p)` holds bit i of exactly the candidate masks
+    `record.masks[i]` whose child the full matcher finds p in.  Parents are
+    the graphs on at most 6 vertices, canonically labelled and shuffled,
+    that are p-free; a pattern on at most one vertex is in every child, so
+    there every parent is checked.  Patterns are those of the nine classes,
+    K1 and the order-0 graph."""
     import random
 
     from forbpairs.graphs import relabel
@@ -141,7 +141,7 @@ def test_completion_masks_match_the_matcher():
                     if p.n > 1 and not is_free(parent, [p]):
                         continue
                     want = sum(
-                        1 << m for m in record.masks
+                        1 << i for i, m in enumerate(record.masks)
                         if contains_induced(_extension(parent, m), p) is not None
                     )
                     assert record.completes(p) == want, (parent.rows, p.rows)

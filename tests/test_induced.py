@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -53,6 +54,35 @@ def test_against_brute_force_random():
         p = build(np_, [(u, v) for u in range(np_) for v in range(u + 1, np_)
                         if rng.random() < 0.5])
         assert (contains_induced(h, p) is not None) == brute_contains(h, p)
+
+
+# sha256 of repr([contains_induced(h, p) for the pairs of _golden_pairs()]),
+# recorded before the matcher and the completion search shared one level
+# table: the embeddings themselves are pinned, since `decompose --olariu`
+# prints them as witnesses and `PreconditionError` carries them
+EMBEDDINGS_SHA256 = "da0bf3f9e5e50a0734fc09c9d339470eb1aa504a560900f4c93e5afb773d81c7"
+
+
+def _golden_pairs():
+    """3,000 seeded (host on 0-8 vertices, pattern on 0-5) pairs; 1,307
+    of them are misses."""
+    rng = random.Random(2024)
+    for _ in range(3000):
+        nh = rng.randint(0, 8)
+        np_ = rng.randint(0, 5)
+        ph, pp = rng.choice([0.2, 0.5, 0.8]), rng.choice([0.2, 0.5, 0.8])
+        yield (
+            build(nh, [(u, v) for u in range(nh) for v in range(u + 1, nh)
+                       if rng.random() < ph]),
+            build(np_, [(u, v) for u in range(np_) for v in range(u + 1, np_)
+                        if rng.random() < pp]),
+        )
+
+
+def test_embeddings_match_golden():
+    found = [contains_induced(h, p) for h, p in _golden_pairs()]
+    assert sum(e is None for e in found) == 1307
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == EMBEDDINGS_SHA256
 
 
 def test_identity_and_monotonicity():
