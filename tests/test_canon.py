@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from forbpairs.canon import (
+    _canon,
     automorphism_generators,
     canonical_code,
     canonical_form,
@@ -11,7 +13,7 @@ from forbpairs.canon import (
     isomorphic,
 )
 from forbpairs.expr import graph_from_expr as G
-from forbpairs.graphs import build, complement, relabel
+from forbpairs.graphs import build, complement, disjoint_union, relabel
 from forbpairs.harness import generate_graphs
 
 
@@ -106,6 +108,47 @@ def test_sampled_labellings_get_the_same_code_seven():
     labellings = list(itertools.permutations(range(7)))
     for g in generate_graphs(7):
         _check_labellings(g, rng.sample(labellings, 250))
+
+
+# sha256 of repr([_canon(g.n, g.rows) for g in _golden_graphs()]): the code,
+# the vertex order and the recorded automorphisms, pinned before the orbit
+# pruning was rewritten, since generation, certificates and reports all read
+# the canonical labelling
+CANON_SHA256 = "ae018b4f87bfa97dd04584a3af1b6ba788fb45fc9b9570bd71c660819499f856"
+
+
+def _random_graph(rng, n):
+    p = rng.choice([0.2, 0.5, 0.8])
+    return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p])
+
+
+def _golden_graphs():
+    """Every graph on at most 7 vertices, then 3,000 seeded graphs on at
+    most 12 in shuffled labellings: half of them random, half of them
+    copies of a random graph on at most 4 vertices, which have many
+    automorphisms, or their complements."""
+    for n in range(8):
+        yield from generate_graphs(n)
+    rng = random.Random(2026)
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            g = _random_graph(rng, rng.randint(1, 12))
+        else:
+            part = g = _random_graph(rng, rng.randint(1, 4))
+            for _ in range(rng.randint(1, 12 // part.n - 1)):
+                g = disjoint_union(g, part)
+            if rng.random() < 0.5:
+                g = complement(g)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield relabel(g, perm)
+
+
+def test_canonical_search_matches_golden():
+    found = [_canon(g.n, g.rows) for g in _golden_graphs()]
+    assert len(found) == 4253 and sum(len(auts) for _, _, auts in found) == 4011
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == CANON_SHA256
 
 
 def _generated_group(n, gens):
