@@ -3,9 +3,15 @@
 The canonical code is the minimum, over a pruned individualisation tree, of
 the upper-triangle adjacency bits read in the leaf's vertex order.  Two
 graphs are isomorphic exactly when their codes agree.  Pruning uses prefix
-comparison against the best leaf and orbit merging under automorphisms
-discovered from equal-code leaves; both prunings only skip subtrees whose
-leaf codes are provably already represented, so the minimum is unaffected.
+comparison against the best leaf and orbits: a node tries one candidate per
+orbit of its target cell, where an orbit is a vertex mask that twins and
+the automorphisms found between equal-code leaves (those fixing the
+individualised vertices) are joined into.  Both prunings only skip subtrees
+whose leaf codes are provably already represented, so the minimum is
+unaffected.
+
+`orbits` gives the orbits of the whole automorphism group, joined the same
+way from `automorphism_generators`.
 """
 
 from __future__ import annotations
@@ -13,6 +19,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from .graphs import Graph, bits, relabel, twins
+
+
+def _join(orbit: list[int], u: int, v: int) -> None:
+    """Merge the orbits of u and v, where orbit[x] is the mask of x's orbit."""
+    if not orbit[u] >> v & 1:
+        merged = orbit[u] | orbit[v]
+        for x in bits(merged):
+            orbit[x] = merged
 
 
 def _canon(n: int, rows: Sequence[int]):
@@ -89,41 +103,30 @@ def _canon(n: int, rows: Sequence[int]):
         target = cells[t]
         vs = bits(target)
 
-        parent = {v: v for v in vs}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: int, b: int):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        # twin candidates are automorphic images of each other fixing all
-        # other vertices, so they can be merged without leaf discovery
+        # orbit[v]: the target-cell vertices known to share v's orbit under
+        # the automorphisms that fix every individualised vertex.  Twin
+        # candidates are automorphic images of each other fixing all other
+        # vertices, so they are merged without leaf discovery.
+        orbit = [1 << v for v in range(n)]
         for i, u in enumerate(vs):
             for v in vs[i + 1 :]:
                 if twins(rows, u, v):
-                    union(u, v)
+                    _join(orbit, u, v)
 
         seen_auts = 0
-        tried: list[int] = []
+        tried = 0
         for v in vs:
             while seen_auts < len(auts):
                 gamma = auts[seen_auts]
                 seen_auts += 1
+                # refinement is invariant, so an automorphism that fixes the
+                # individualised vertices maps the target cell onto itself
                 if all(gamma[u] == u for u in fixed):
                     for w in vs:
-                        img = gamma[w]
-                        if img in parent:
-                            union(w, img)
-            rv = find(v)
-            if any(find(u) == rv for u in tried):
+                        _join(orbit, w, gamma[w])
+            if orbit[v] & tried:
                 continue
-            tried.append(v)
+            tried |= 1 << v
             child = cells[:t] + [1 << v, target ^ (1 << v)] + cells[t + 1 :]
             search(child, fixed + [v])
 
@@ -164,6 +167,15 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
                 gens.append(tuple(swap))
                 break
     return tuple(gens)
+
+
+def orbits(g: Graph) -> tuple[int, ...]:
+    """The orbits of the automorphism group as vertex masks, by least vertex."""
+    orbit = [1 << v for v in range(g.n)]
+    for gamma in automorphism_generators(g):
+        for v in range(g.n):
+            _join(orbit, v, gamma[v])
+    return tuple(dict.fromkeys(orbit))  # each orbit first at its least vertex
 
 
 def canonical_code(g: Graph) -> bytes:

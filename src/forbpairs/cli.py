@@ -166,9 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_expr(args) -> int:
     g = _graph_arg(args.text, args.graph6)
-    print(f"n {g.n} edges {g.edge_count()}")
-    print(f"graph6 {encode_graph6(canonical_graph(g))}")
-    print(f"recognized {catalog.recognize(g)}")
+    # built whole before printing, so a graph that graph6 short form cannot
+    # encode (above 62 vertices) prints nothing
+    lines = [
+        f"n {g.n} edges {g.edge_count()}",
+        f"graph6 {encode_graph6(canonical_graph(g))}",
+        f"recognized {catalog.recognize(g)}",
+    ]
+    print("\n".join(lines))
     return 0
 
 

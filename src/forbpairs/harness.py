@@ -40,9 +40,10 @@ child of its image s(mask).  So the masks of one orbit of the group give
 isomorphic children, and the invariant filter and the blocked masks
 accept all of an orbit or none of it.  A mask is skipped when one
 generator of the group (`canon.automorphism_generators`) maps it to a
-smaller mask.  The smallest mask of an orbit is never skipped, since
-every image of it lies in the orbit, so each accepted orbit still yields
-its child and no class is lost.
+smaller mask, read from one table per generator of the images of all
+2^n masks.  The smallest mask of an orbit is never skipped, since every
+image of it lies in the orbit, so each accepted orbit still yields its
+child and no class is lost.
 
 One loop builds each level as the merge of `_children` over chunks of
 the parents: the chunks are mapped in this process for one worker, and
@@ -185,14 +186,8 @@ class _Parent:
         for v, d in enumerate(deg):
             at[d] |= 1 << v
         nsum = [sum(deg[u] for u in bits(r)) for r in rows]
-        # with these (lo, hi) tables a generator maps a neighbourhood mask
-        # to lo[mask & low] | hi[mask >> half]
-        half = n // 2
-        low = (1 << half) - 1
-        images = [
-            (_images(gamma, 0, half), _images(gamma, half, n))
-            for gamma in automorphism_generators(parent)
-        ]
+        # images[i][mask]: the image of a neighbourhood mask under generator i
+        images = [_images(gamma) for gamma in automorphism_generators(parent)]
         self.masks: list[int] = []
         for mask in range(1 << n):
             # the new vertex has degree k; a parent vertex of degree d has
@@ -209,7 +204,7 @@ class _Parent:
                     for t in bits(ties)
                 ):
                     continue  # a tied vertex has a larger neighbour degree sum
-            if any(lo[mask & low] | hi[mask >> half] < mask for lo, hi in images):
+            if any(image[mask] < mask for image in images):
                 continue  # an automorphism of the parent maps mask lower
             self.masks.append(mask)
         self.children: dict[int, tuple[bytes, Graph]] = {}
@@ -259,10 +254,10 @@ def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
     return out
 
 
-def _images(gamma: Sequence[int], start: int, stop: int) -> list[int]:
-    """table[m]: the image under gamma of the vertex set m << start."""
+def _images(gamma: Sequence[int]) -> list[int]:
+    """table[m]: the image under gamma of the vertex set m."""
     table = [0]
-    for v in range(start, stop):
+    for v in range(len(gamma)):
         bit = 1 << gamma[v]
         table += [t | bit for t in table]
     return table
@@ -395,7 +390,6 @@ class VerificationReport:
     class_name: str
     prop: str
     n_max: int
-    restricted: bool
     verdict: str = "all_hold"
     counterexamples: list[Counterexample] = field(default_factory=list)
     examined: dict[int, int] = field(default_factory=dict)
@@ -436,7 +430,6 @@ def verify_universal(
         class_name=class_name,
         prop=prop,
         n_max=n_max,
-        restricted=restricted,
         examined=dict.fromkeys(range(1, n_max + 1), 0),
         passing=dict.fromkeys(range(1, n_max + 1), 0),
     )
@@ -473,15 +466,10 @@ def _contains_c5(g: Graph) -> bool:
     return contains_induced(g, _C5) is not None
 
 
-def _above_omega(g: Graph) -> bool:
-    omega = max_clique(g)
-    return chromatic_number(g, omega=omega) > omega
-
-
 PREDICATES: dict[str, Callable[[Graph], bool]] = {
     "connected": is_connected,
-    "non-perfect": lambda g: not is_perfect_spgt(g).perfect,
-    "not-omega-colourable": _above_omega,
+    "non-perfect": lambda g: _property_certificate(g, "perfect") is not None,
+    "not-omega-colourable": lambda g: _property_certificate(g, "omega") is not None,
     "not-odd-cycle": lambda g: not (g.n % 2 == 1 and is_cycle(g)),
     "alpha>=3": lambda g: has_independent_set(g, 3),
     "alpha=3": lambda g: has_independent_set(g, 3) and not has_independent_set(g, 4),

@@ -21,7 +21,7 @@ them.  A parent has a few candidate masks (about 8 on the benchmark's
 deep classes) and far more anchored pairs, so `completing_masks` decides
 the candidates, not the pairs, in one search per parent and pattern:
 
-- One anchor u per orbit of Aut(P), from `canon.automorphism_generators`.
+- One anchor u per orbit of Aut(P), its least vertex, from `canon.orbits`.
   When an automorphism s of P maps u to u', a copy f of P - u' gives the
   copy f o s of P - u with the same S and R, so the other vertices of the
   orbit add no pair.
@@ -51,7 +51,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .canon import automorphism_generators, canonical_form
+from .canon import canonical_form, orbits
 from .graphs import Graph, bits, induced_on_mask, relabel, twins
 
 
@@ -143,21 +143,9 @@ def _anchors(pattern: Graph) -> tuple[_Levels, ...]:
     """P - u for one anchor u per orbit of Aut(pattern), its least vertex,
     with u's non-neighbours first, then by degree."""
     prow, n = pattern.rows, pattern.n
-    gens = automorphism_generators(pattern)
     out = []
-    seen = 0
-    for u in range(n):
-        if seen >> u & 1:
-            continue
-        seen |= 1 << u
-        frontier = [u]
-        while frontier:
-            v = frontier.pop()
-            for gamma in gens:
-                w = gamma[v]
-                if not seen >> w & 1:
-                    seen |= 1 << w
-                    frontier.append(w)
+    for orbit in orbits(pattern):
+        u = bits(orbit)[0]
         order = sorted(
             (v for v in range(n) if v != u),
             key=lambda v: (prow[u] >> v & 1, -pattern.degree(v), v),

@@ -11,9 +11,10 @@ from forbpairs.canon import (
     canonical_form,
     canonical_graph,
     isomorphic,
+    orbits,
 )
 from forbpairs.expr import graph_from_expr as G
-from forbpairs.graphs import build, complement, disjoint_union, relabel
+from forbpairs.graphs import bits, build, complement, disjoint_union, relabel
 from forbpairs.harness import generate_graphs
 
 
@@ -179,13 +180,16 @@ def _check_automorphism_generators(n, rng):
         p = list(range(n))
         rng.shuffle(p)
         for h in (g, relabel(g, p)):
-            gens = automorphism_generators(h)
-            assert _generated_group(n, gens) == _brute_automorphisms(h), h
+            auts = _brute_automorphisms(h)
+            assert _generated_group(n, automorphism_generators(h)) == auts, h
+            images = {sum(1 << w for w in {a[v] for a in auts}) for v in range(n)}
+            assert orbits(h) == tuple(sorted(images, key=lambda m: bits(m)[0])), h
 
 
 def test_automorphism_generators_generate_the_group():
-    """The generators give exactly the automorphism group, for every graph
-    on at most 6 vertices, canonically and randomly labelled."""
+    """The generators give exactly the automorphism group, and `orbits` its
+    orbits, for every graph on at most 6 vertices, canonically and randomly
+    labelled."""
     rng = random.Random(3)
     for n in range(7):
         _check_automorphism_generators(n, rng)

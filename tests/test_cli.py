@@ -91,6 +91,8 @@ def test_usage_errors(capsys):
      "--nmax", "5", "--threads", "0"],
     ["catalog", "--nmax", "5", "--threads", "0"],
     ["bounds", "--ramsey", "1500", "6642"],
+    ["expr", "K63"],
+    ["expr", "K64"],
 ])
 def test_rejected_input_exits_two(argv, capsys):
     """Input beyond the limits fails at once, with one error line."""
