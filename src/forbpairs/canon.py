@@ -4,11 +4,10 @@ The canonical code is the minimum, over a pruned individualisation tree, of
 the upper-triangle adjacency bits read in the leaf's vertex order.  Two
 graphs are isomorphic exactly when their codes agree.  Pruning uses prefix
 comparison against the best leaf and orbits: a node tries one candidate per
-orbit of its target cell, where an orbit is a vertex mask that twins and
-the automorphisms found between equal-code leaves (those fixing the
-individualised vertices) are joined into.  Both prunings only skip subtrees
-whose leaf codes are provably already represented, so the minimum is
-unaffected.
+orbit of its target cell.  An orbit is a vertex mask, joined under twins
+and under the automorphisms found between equal-code leaves that fix the
+individualised vertices.  Both prunings only skip subtrees whose leaf codes
+are provably already represented, so the minimum is unaffected.
 
 `orbits` gives the orbits of the whole automorphism group, joined the same
 way from `automorphism_generators`.

@@ -257,8 +257,8 @@ def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
 def _images(gamma: Sequence[int]) -> list[int]:
     """table[m]: the image under gamma of the vertex set m."""
     table = [0]
-    for v in range(len(gamma)):
-        bit = 1 << gamma[v]
+    for w in gamma:
+        bit = 1 << w
         table += [t | bit for t in table]
     return table
 
