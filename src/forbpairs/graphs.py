@@ -347,7 +347,7 @@ def chromatic_number(g: Graph, *, omega: int | None = None) -> int:
 
     def bb(idx: int) -> None:
         nonlocal best
-        if len(cls) >= best or best == lower:
+        if len(cls) >= best:
             return
         if idx == n:
             best = len(cls)
@@ -360,6 +360,8 @@ def chromatic_number(g: Graph, *, omega: int | None = None) -> int:
                 cls[c] |= bit
                 bb(idx + 1)
                 cls[c] ^= bit
+                if best == lower:
+                    return
         cls.append(bit)
         bb(idx + 1)
         cls.pop()

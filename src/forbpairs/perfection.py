@@ -7,6 +7,18 @@ both lets the test suite cross-validate them exhaustively on small orders.
 The definitional oracle calls only `graphs.chromatic_number` and
 `graphs.max_clique` and keeps no cache, so it shares no code with `canon`,
 which generation and the fast path rely on.
+
+The odd-hole search grows chordless paths depth-first from the least
+vertex s of the hole and cuts every subtree that cannot return a hole, so
+it returns the same hole as the unpruned search, which the tests keep as
+its reference.  Each cut is exact: s has at least four vertices and two
+neighbours above it; the closing vertex lies above the second vertex v,
+because a hole closing below v was found from its other side first; v
+has a non-neighbour among those closing vertices, since a hole has no
+chord; a path of even length >= 4 closes on its least closer after the
+extenders below it, as in ascending order; and a path is not extended
+once every closing vertex is adjacent to one of its vertices after s,
+since those all become interior vertices of an extension.
 """
 
 from __future__ import annotations
@@ -80,33 +92,67 @@ def _is_chordless_odd_cycle(g: Graph, vertices: tuple[int, ...]) -> bool:
 def odd_hole(g: Graph) -> tuple[int, ...] | None:
     """Vertices of an induced odd cycle of length >= 5, in cycle order.
 
-    Chordless paths are grown from each start vertex (the smallest vertex
-    of the hole), extending only with vertices non-adjacent to the path
-    interior, so every closure found is already induced.
+    Chordless paths s, v, ... are grown depth-first, in ascending vertex
+    order, from each start vertex s, the least vertex of the hole, and the
+    first hole met is returned.  `banned` holds the vertices up to s, the
+    neighbours of s that may not close the cycle, and the closed
+    neighbourhoods of the path's interior, so a vertex outside it that is
+    adjacent to the path's last vertex keeps the path chordless.  Such a
+    vertex closes the cycle when it is one of the `ends`, the neighbours of
+    s above v, and extends the path when it is not adjacent to s (as an
+    interior vertex a neighbour of s would be a chord).
+
+    It is the plain search with the subtrees cut that cannot return a hole,
+    so it returns the same tuple.  The cuts:
+    - s < n - 4 and s has two neighbours above it, since a hole has at
+      least four vertices above its least vertex, two of them adjacent
+      to it;
+    - a hole closes on a vertex above v: a hole s, v, ..., c with c < v is
+      also the hole s, c, ..., v, and the search from s, c, made before
+      and finding a hole whenever one starts with s, c, would have
+      returned;
+    - a v that is adjacent to every end is skipped, since the closing
+      vertex of a hole of length >= 5 is not adjacent to v;
+    - on a path of even length >= 4 the least closer c closes an odd hole,
+      and only the extenders below c come before it in ascending order;
+    - `banned` only grows down the tree, so once every end is banned for
+      the children, no extender can reach a closer and none is tried.
     """
     if g.n > _HOLE_LIMIT:
         raise ValueError(f"odd hole search is limited to {_HOLE_LIMIT} vertices")
     rows = g.rows
+    path: list[int] = []
 
-    for s in range(g.n):
-        above = ~((2 << s) - 1)
-
-        def extend(path: list[int], banned: int) -> tuple[int, ...] | None:
-            last = path[-1]
-            for u in bits(rows[last] & above & ~banned):
-                if rows[u] >> s & 1:
-                    # u is adjacent to the start, so it can only close the
-                    # cycle (as an interior vertex it would leave a chord)
-                    if len(path) >= 4 and len(path) % 2 == 0:
-                        return tuple(path) + (u,)
-                    continue
-                found = extend(path + [u], banned | rows[last] | (1 << last))
+    def extend(banned: int) -> tuple[int, ...] | None:
+        last = path[-1]
+        step = rows[last] & ~banned
+        extenders = step & ~ends
+        closers = step & ends
+        close = closers and len(path) >= 4 and not len(path) & 1
+        if close:
+            c = bits(closers)[0]
+            extenders &= (1 << c) - 1
+        nb = banned | rows[last] | 1 << last
+        if ends & ~nb:
+            for u in bits(extenders):
+                path.append(u)
+                found = extend(nb)
+                path.pop()
                 if found:
                     return found
-            return None
+        return tuple(path) + (c,) if close else None
 
-        for v in bits(rows[s] & above):
-            found = extend([s, v], 1 << s)
+    for s in range(g.n - 4):
+        low = (2 << s) - 1
+        hood = rows[s] & ~low  # the neighbours of s above s
+        if hood.bit_count() < 2:
+            continue
+        for v in bits(hood):
+            ends = hood & ~((2 << v) - 1)
+            if not ends & ~rows[v]:
+                continue
+            path[:] = (s, v)
+            found = extend(low | hood & ~ends)
             if found:
                 return found
     return None

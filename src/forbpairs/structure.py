@@ -155,6 +155,8 @@ def blowup_classify(g: Graph) -> BlowupDecomposition:
 def _least_c5(g: Graph) -> tuple[int, ...] | None:
     from itertools import combinations
 
+    if not contains_induced(g, catalog.cycle(5)):
+        return None
     for sub in combinations(range(g.n), 5):
         s = induced_on_mask(g, sum(1 << v for v in sub))
         if is_cycle(s):

@@ -117,6 +117,12 @@ def test_decompose_blowup(capsys):
     rc = main(["decompose", "--expr", "C6", "--blowup"])
     out = capsys.readouterr().out
     assert rc == 1 and "precondition failed" in out
+    # a C5-free input is refused by one containment test, not a scan of
+    # every 5-subset (about 7 million for K63)
+    rc = main(["decompose", "--expr", "K63", "--blowup"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out == "precondition failed: graph contains no induced C5\n"
 
 
 def test_colour_failure_exit(capsys):
