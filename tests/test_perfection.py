@@ -191,10 +191,7 @@ def test_spgt_against_definition_random_nine_ten():
     rng = random.Random(910)
     verdicts = set()
     for _ in range(300):
-        n = rng.choice([9, 10])
-        p = rng.choice([0.2, 0.35, 0.5, 0.65, 0.8])
-        g = build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                      if rng.random() < p])
+        g = _random_graph(rng, rng.choice([9, 10]))
         fast, slow = is_perfect_spgt(g), is_perfect_definition(g)
         assert fast.perfect == slow.perfect, g
         assert slow.validate(g)
