@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -36,6 +37,29 @@ PATTERN_PAIRS = [
 def test_counts_match_known_sequence():
     for n in range(1, 9):
         assert len(generate_graphs(n)) == KNOWN_COUNTS[n]
+
+
+# sha256 of repr([[[g.rows for g in level] for level in walk] ...]) over the
+# levels 0..8 of all graphs, then of the nine classes: pinned before the
+# parent records were rebuilt, since every report reads these levels
+LEVELS_SHA256 = "b1bc89ba12d7ea34ac758a4bf0edc540d3df591539f747cec2257bbf848da991"
+
+
+def test_levels_match_golden(monkeypatch):
+    """Every level up to order 8, of all graphs and of the nine classes,
+    has the pinned rows; the class {K1,3, Z2} is built first, from an empty
+    walk cache, with two worker processes (its levels 6 and 7 reach the
+    pool)."""
+    from forbpairs import harness
+
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    harness._walk.cache_clear()
+    generate_graphs(8, [G("K1,3"), G("Z2")], threads=2)
+    walks = [
+        [[g.rows for g in generate_graphs(n, pats)] for n in range(9)]
+        for pats in [None] + [[G(s) for s in pair] for pair in PATTERN_PAIRS]
+    ]
+    assert hashlib.sha256(repr(walks).encode()).hexdigest() == LEVELS_SHA256
 
 
 def _unfiltered_level(parents, patterns):
