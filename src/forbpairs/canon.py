@@ -10,7 +10,13 @@ individualised vertices.  Both prunings only skip subtrees whose leaf codes
 are provably already represented, so the minimum is unaffected.
 
 `orbits` gives the orbits of the whole automorphism group, joined the same
-way from `automorphism_generators`.
+way from `automorphism_generators`.  Those generators come from the
+search that labelled the graph when there was one: `canonical_form` keeps
+the automorphisms its search recorded on the graph (`Graph.auts`), and
+`graphs.relabel` conjugates them onto the canonical copy.  So a graph that
+generation built is searched once, as a child, and not again as a parent;
+only a graph without them, such as a pattern or a graph read from input,
+is searched by `automorphism_generators` itself.
 """
 
 from __future__ import annotations
@@ -141,8 +147,10 @@ def _canon(n: int, rows: Sequence[int]):
 
 
 def canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
-    """Canonical code and the vertex order realising it (position -> vertex)."""
-    code, perm, _ = _canon(g.n, g.rows)
+    """Canonical code and the vertex order realising it (position -> vertex).
+    The automorphisms the search recorded are kept on g as `Graph.auts`."""
+    code, perm, auts = _canon(g.n, g.rows)
+    g.auts = b"".join(map(bytes, auts))
     return code, perm
 
 
@@ -154,10 +162,16 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     chain: the search merges twin candidates without visiting their leaves,
     so the transpositions stand in for the automorphisms it skipped.  Every
     other subtree is pruned by a recorded automorphism or holds no leaf of
-    the best code, so together they generate the whole group.
+    the best code, so together they generate the whole group.  A graph that
+    carries the automorphisms of the search that labelled it (`Graph.auts`,
+    set by `canonical_form` and conjugated by `relabel`) is not searched
+    again: conjugation maps generators to generators and twin classes to
+    twin classes, so its recorded automorphisms and its own twin
+    transpositions generate its group too.
     """
     n, rows = g.n, g.rows
-    gens = list(_canon(n, rows)[2])
+    kept = g.auts
+    gens = list(_canon(n, rows)[2] if kept is None else zip(*[iter(kept)] * n))
     for v in range(n):
         for u in range(v - 1, -1, -1):
             if twins(rows, u, v):

@@ -3,6 +3,9 @@
 A vertex is an index in ``range(n)``; ``rows[v]`` is the neighbourhood of
 ``v`` as a bit mask.  All operations are pure functions on immutable
 values, so graphs can be shared freely between threads and processes.
+The one slot written after construction is ``Graph.auts``: automorphisms
+that the canonical search which labelled a graph found on the way, kept
+so that no second search asks for them.  Equality ignores it.
 
 ``bits`` is the one way to list the set bits of a mask: it reads them
 from precomputed tables, one per byte of a 64-bit mask, so it costs one
@@ -47,13 +50,22 @@ def twins(rows: Sequence[int], u: int, v: int) -> bool:
 
 
 class Graph:
-    """Immutable simple graph with symmetric bitmask adjacency."""
+    """Immutable simple graph with symmetric bitmask adjacency.
 
-    __slots__ = ("n", "rows")
+    ``auts`` is None, or automorphisms of the graph that a canonical search
+    recorded: n bytes per permutation, byte v the image of vertex v.
+    ``canon.canonical_form`` keeps its search's automorphisms here,
+    ``relabel`` carries them over to the copy, and
+    ``canon.automorphism_generators`` reads them instead of searching
+    again.  Equality and hashing ignore them, and pickling keeps them.
+    """
 
-    def __init__(self, n: int, rows: Sequence[int]):
+    __slots__ = ("n", "rows", "auts")
+
+    def __init__(self, n: int, rows: Sequence[int], auts: bytes | None = None):
         self.n = n
         self.rows = tuple(rows)
+        self.auts = auts
 
     def adj(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -148,7 +160,8 @@ def induced_on_mask(g: Graph, mask: int) -> Graph:
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel so that new vertex i is old vertex perm[i]."""
+    """Relabel so that new vertex i is old vertex perm[i].  Automorphisms
+    kept on g are conjugated onto the copy: i goes to inv[gamma[perm[i]]]."""
     inv = [0] * g.n
     for i, v in enumerate(perm):
         inv[v] = i
@@ -156,7 +169,12 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     for i, v in enumerate(perm):
         for u in bits(g.rows[v]):
             rows[i] |= 1 << inv[u]
-    return Graph(g.n, rows)
+    auts = g.auts
+    if auts:
+        auts = bytes(
+            auts[j + v] for j in range(0, len(auts), g.n) for v in perm
+        ).translate(bytes(inv).ljust(256, b"\0"))
+    return Graph(g.n, rows, auts)
 
 
 def connected_components(g: Graph) -> list[int]:

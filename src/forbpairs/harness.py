@@ -31,19 +31,27 @@ up to isomorphism, since the class is hereditary.  So one mask re-adds m
 to that canonical parent; it is not blocked, because G is free, and the
 filter keeps it, because the invariant ignores labels.  Ties are all kept,
 and the canonical-code dict removes the duplicates, so the output is the
-same as canonicalising every child.
+same as canonicalising every child.  The masks that pass the degree test
+are built, not found by a scan of all 2^n: the new vertex has the largest
+degree k exactly when k is at least the parent's largest degree and the
+mask holds none of the parent's vertices of degree k, so they are the
+k-subsets of the other vertices.
 
 Masks that an automorphism of the parent moves are pruned too, the other
 half of McKay's method.  An automorphism s of the parent, extended by
 fixing the new vertex, is an isomorphism from the child of a mask to the
 child of its image s(mask).  So the masks of one orbit of the group give
 isomorphic children, and the invariant filter and the blocked masks
-accept all of an orbit or none of it.  A mask is skipped when one
-generator of the group (`canon.automorphism_generators`) maps it to a
-smaller mask, read from one table per generator of the images of all
-2^n masks.  The smallest mask of an orbit is never skipped, since every
-image of it lies in the orbit, so each accepted orbit still yields its
-child and no class is lost.
+accept all of an orbit or none of it.  A mask is kept only when it is
+the least of its orbit: the masks that pass the invariant filter are
+taken in increasing order, and each one kept is closed under the vertex
+images of the group's generators (`canon.automorphism_generators`), so
+every later mask of its orbit is skipped.  Each accepted orbit yields
+one child and no class is lost, and the masks depend on the group alone,
+not on the generators that describe it.  The generators cost no search:
+a parent that generation built carries the automorphisms its canonical
+search recorded when it was built as a child (`Graph.auts`), conjugated
+onto its canonical labelling.
 
 One loop builds each level as the merge of `_children` over chunks of
 the parents: the chunks are mapped in this process for one worker, and
@@ -57,12 +65,13 @@ content.  Neither the invariant filter nor the orbit test depends on the
 pattern set, and neither does a child, which its parent and mask fix, nor
 the masks that complete one pattern, which its parent and the pattern
 fix.  So one record per parent, `_parent`, holds the candidate masks (the
-masks that pass both tests), the children built so far, and, by pattern,
-the candidate masks that complete it, as the set bits of one int, bit i
-for `masks[i]` (one bit per candidate, not per possible mask), for every
-class that shares the parent.  `_children` runs the pair test only: it
-ORs the completing masks of the class's patterns and keeps the candidate
-masks whose bit is clear.  A record's children and masks are evicted
+masks that pass both tests), the children built so far, each with the
+automorphisms of its own search for its record as a parent, and, by
+pattern, the candidate masks that complete it, as the set bits of one
+int, bit i for `masks[i]` (one bit per candidate, not per possible mask),
+for every class that shares the parent.  `_children` runs the pair test
+only: it ORs the completing masks of the class's patterns and keeps the
+candidate masks whose bit is clear.  A record's children and masks are evicted
 with it.  `PARENT_CACHE_SIZE` (512) comes from replaying the parent keys
 that one benchmark repetition asks for (seed 7) through LRU caches of
 several sizes.  120 small pair classes ask for 53 distinct parents and
@@ -128,6 +137,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from . import catalog
@@ -173,7 +183,8 @@ class _Parent:
     mask, and the candidate masks that complete each pattern asked about
     so far, by pattern.  A candidate mask is the neighbourhood of a new
     vertex that has the maximal (degree, neighbour degree sum) of the
-    child, and that no automorphism generator of the parent maps lower."""
+    child, and that is the least mask of its orbit under the parent's
+    automorphism group."""
 
     __slots__ = ("graph", "masks", "children", "blocked")
 
@@ -186,15 +197,23 @@ class _Parent:
         for v, d in enumerate(deg):
             at[d] |= 1 << v
         nsum = [sum(deg[u] for u in bits(r)) for r in rows]
-        # images[i][mask]: the image of a neighbourhood mask under generator i
-        images = [_images(gamma) for gamma in automorphism_generators(parent)]
+        # the new vertex has degree k; a parent vertex of degree d has d + 1
+        # in the child when it is in mask, else d.  So no parent vertex has a
+        # larger degree exactly when k >= top and mask holds no vertex of
+        # degree k.
+        found = []
+        for k in range(top, n + 1):
+            allowed = [1 << v for v in bits(((1 << n) - 1) & ~at[k])]
+            found += map(sum, combinations(allowed, k))
+        found.sort()
+        # gens[i][v]: the image of vertex v under generator i, as a bit
+        gens = [[1 << w for w in gamma] for gamma in automorphism_generators(parent)]
+        seen: set[int] = set()  # the masks of the orbits met so far
         self.masks: list[int] = []
-        for mask in range(1 << n):
-            # the new vertex has degree k; a parent vertex of degree d has
-            # d + 1 in the child when it is in mask, else d
+        for mask in found:
+            if mask in seen:
+                continue  # a smaller mask of its orbit came first
             k = mask.bit_count()
-            if top > k or mask & at[k]:
-                continue  # a parent vertex has a larger degree
             ties = at[k] & ~mask | at[k - 1] & mask  # at[-1] is empty
             if ties:
                 s = k + sum(deg[v] for v in bits(mask))
@@ -204,9 +223,16 @@ class _Parent:
                     for t in bits(ties)
                 ):
                     continue  # a tied vertex has a larger neighbour degree sum
-            if any(image[mask] < mask for image in images):
-                continue  # an automorphism of the parent maps mask lower
             self.masks.append(mask)
+            if gens:
+                seen.add(mask)
+                orbit = [mask]
+                for m in orbit:
+                    for gamma in gens:
+                        image = sum(map(gamma.__getitem__, bits(m)))
+                        if image not in seen:
+                            seen.add(image)
+                            orbit.append(image)
         self.children: dict[int, tuple[bytes, Graph]] = {}
         self.blocked: dict[Graph, int] = {}
 
@@ -252,15 +278,6 @@ def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
                 code, child = record.child(mask)
                 out[code] = child  # equal codes carry identical canonical graphs
     return out
-
-
-def _images(gamma: Sequence[int]) -> list[int]:
-    """table[m]: the image under gamma of the vertex set m."""
-    table = [0]
-    for w in gamma:
-        bit = 1 << w
-        table += [t | bit for t in table]
-    return table
 
 
 def _check_args(n: int, patterns: Sequence[Graph] | None, threads: int) -> None:
@@ -317,9 +334,10 @@ def _mapper(workers: int):
 def _walk(patterns: tuple[Graph, ...] | None) -> list[tuple[Graph, ...]]:
     """The levels of the class built so far, level n at walk[n].  A walk
     starts at level 0: the empty graph contains the order-0 pattern and no
-    other."""
+    other.  Its only automorphism is the identity, recorded as none, so no
+    parent of a walk is searched for its automorphisms."""
     free = patterns is None or all(p.n for p in patterns)
-    return [(Graph(0, ()),) if free else ()]
+    return [(Graph(0, (), b""),) if free else ()]
 
 
 def _cpus() -> int:

@@ -14,7 +14,7 @@ from forbpairs.canon import (
     orbits,
 )
 from forbpairs.expr import graph_from_expr as G
-from forbpairs.graphs import bits, build, complement, disjoint_union, relabel
+from forbpairs.graphs import Graph, bits, build, complement, disjoint_union, relabel
 from forbpairs.harness import generate_graphs
 
 
@@ -176,11 +176,17 @@ def _brute_automorphisms(g):
 
 
 def _check_automorphism_generators(n, rng):
+    """Generated graphs and their shuffled copies carry the automorphisms
+    of the search that labelled them, conjugated for the copies; a copy
+    without them is searched.  All three give the brute-force group."""
     for g in generate_graphs(n):
         p = list(range(n))
         rng.shuffle(p)
-        for h in (g, relabel(g, p)):
-            auts = _brute_automorphisms(h)
+        moved = relabel(g, p)
+        plain = Graph(n, moved.rows)
+        assert g.auts is not None and moved.auts is not None and plain.auts is None
+        shuffled = _brute_automorphisms(plain)  # moved has the same rows
+        for h, auts in ((g, _brute_automorphisms(g)), (moved, shuffled), (plain, shuffled)):
             assert _generated_group(n, automorphism_generators(h)) == auts, h
             images = {sum(1 << w for w in {a[v] for a in auts}) for v in range(n)}
             assert orbits(h) == tuple(sorted(images, key=lambda m: bits(m)[0])), h
@@ -189,7 +195,7 @@ def _check_automorphism_generators(n, rng):
 def test_automorphism_generators_generate_the_group():
     """The generators give exactly the automorphism group, and `orbits` its
     orbits, for every graph on at most 6 vertices, canonically and randomly
-    labelled."""
+    labelled, kept from the labelling search or searched."""
     rng = random.Random(3)
     for n in range(7):
         _check_automorphism_generators(n, rng)
@@ -198,3 +204,22 @@ def test_automorphism_generators_generate_the_group():
 @pytest.mark.slow
 def test_automorphism_generators_generate_the_group_seven():
     _check_automorphism_generators(7, random.Random(4))
+
+
+def test_kept_automorphisms_survive_pickling_and_are_ignored_by_equality():
+    """`canonical_form` keeps its search's automorphisms on the graph and
+    `relabel` conjugates them; a pickle round trip keeps them, and `==` and
+    `hash` do not see them."""
+    import pickle
+
+    g = relabel(G("C5+K2"), [3, 0, 6, 1, 5, 2, 4])
+    plain = Graph(g.n, g.rows)
+    assert g.auts is None and relabel(g, range(g.n)).auts is None
+    _, perm = canonical_form(g)
+    assert g.auts == b"".join(map(bytes, _canon(g.n, g.rows)[2])) != b""
+    h = relabel(g, perm)
+    assert set(zip(*[iter(h.auts)] * h.n)) <= _brute_automorphisms(h)
+    for x in (g, h):
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and back.auts == x.auts
+    assert g == plain and hash(g) == hash(plain)

@@ -92,11 +92,11 @@ def test_generation_equals_unfiltered_builder():
             ], (pats, n)
 
 
-def _candidate_masks(parent):
+def _candidate_masks(parent, group):
     """The masks of `_Parent.masks` by their definition: on the built child,
-    the new vertex has the maximal (degree, neighbour degree sum), and no
-    automorphism generator of the parent maps the mask lower."""
-    gens = automorphism_generators(parent)
+    the new vertex has the maximal (degree, neighbour degree sum), and the
+    mask is the least of its orbit under group, the automorphisms of the
+    parent as vertex -> image tuples."""
     new = parent.n
     out = []
     for mask in range(1 << new):
@@ -107,27 +107,88 @@ def _candidate_masks(parent):
 
         if max(map(invariant, range(new + 1))) != invariant(new):
             continue
-        if any(sum(1 << gamma[v] for v in bits(mask)) < mask for gamma in gens):
+        if any(sum(1 << gamma[v] for v in bits(mask)) < mask for gamma in group):
             continue
         out.append(mask)
     return out
 
 
-def test_candidate_masks_match_their_definition():
-    """Every graph on at most 6 vertices, canonically labelled and shuffled,
-    gets the candidate masks of the slow twin above."""
+def _check_candidate_masks(n, group_of):
+    """Each generated graph on n vertices, which carries the automorphisms
+    of the search that labelled it, a shuffled copy, which carries them
+    conjugated, and the same copy without them, which is searched, gets
+    the candidate masks of the slow twin over group_of(a copy without
+    them)."""
     import random
 
     from forbpairs.graphs import relabel
     from forbpairs.harness import _Parent
 
-    rng = random.Random(6)
+    rng = random.Random(6 + n)
+    for g in generate_graphs(n):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = relabel(g, perm)
+        plain = Graph(n, moved.rows)
+        assert g.auts is not None and moved.auts is not None and plain.auts is None
+        for parent in (g, moved, plain):
+            want = _candidate_masks(parent, group_of(Graph(n, parent.rows)))
+            assert _Parent(parent).masks == want, parent.rows
+
+
+def test_candidate_masks_match_their_definition():
+    """Every graph on at most 6 vertices, over all n! permutations.  A mask
+    test by generators alone, one image at a time, also kept 13 and 14 for
+    the parent rows (18, 9, 24, 6, 5), which lie in the orbits of 7 and 11."""
+    from test_canon import _brute_automorphisms
+
+    from forbpairs.harness import _Parent
+
     for n in range(7):
-        for g in generate_graphs(n):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            for parent in (g, relabel(g, perm)):
-                assert _Parent(parent).masks == _candidate_masks(parent), parent.rows
+        _check_candidate_masks(n, _brute_automorphisms)
+    assert _Parent(Graph(5, (18, 9, 24, 6, 5))).masks == [7, 11, 15, 31]
+
+
+@pytest.mark.slow
+def test_candidate_masks_match_their_definition_seven():
+    """The same at n = 7, over the group that `_generated_group` builds from
+    the searched generators (`test_canon` checks it against all 7!
+    permutations)."""
+    from test_canon import _generated_group
+
+    _check_candidate_masks(7, lambda g: _generated_group(7, automorphism_generators(g)))
+
+
+def test_parents_are_not_searched_again(monkeypatch):
+    """With every cache empty, a walk of all graphs to order 7 runs one
+    canonical search per child built and none while a parent record is
+    built: each parent carries the automorphisms that its search as a
+    child recorded."""
+    from forbpairs import canon, harness
+
+    search, init = canon._canon, harness._Parent.__init__
+    building, records, calls = [], [], []  # calls: True when inside a record
+
+    def counted(*args):
+        calls.append(bool(building))
+        return search(*args)
+
+    def record(self, parent):
+        building.append(parent)
+        try:
+            init(self, parent)
+        finally:
+            building.pop()
+        records.append(self)
+
+    monkeypatch.setattr(canon, "_canon", counted)
+    monkeypatch.setattr(harness._Parent, "__init__", record)
+    for cache in (harness._walk, harness._parent):
+        cache.cache_clear()
+    assert len(generate_graphs(7)) == KNOWN_COUNTS[7]
+    assert len(records) == sum(KNOWN_COUNTS[:7])
+    assert len(calls) == sum(len(r.children) for r in records) > 0
+    assert not any(calls)
 
 
 def _extension(parent, mask):
