@@ -48,10 +48,17 @@ taken in increasing order, and each one kept is closed under the vertex
 images of the group's generators (`canon.automorphism_generators`), so
 every later mask of its orbit is skipped.  Each accepted orbit yields
 one child and no class is lost, and the masks depend on the group alone,
-not on the generators that describe it.  The generators cost no search:
-a parent that generation built carries the automorphisms its canonical
-search recorded when it was built as a child (`Graph.auts`), conjugated
-onto its canonical labelling.
+not on the generators that describe it.  Twins are handled without a
+closure.  Swapping two twins is an automorphism, and these swaps
+generate a normal subgroup, since an automorphism maps twin classes onto
+twin classes.  So the least mask of an orbit holds the least vertices of
+each twin class that it meets: a mask that does not is skipped at once.
+And the masks of an orbit that do are reached from any one of them by
+the other generators, each image lowered onto the least vertices of each
+class, so only those generators close the orbit.  The generators cost
+no search: a parent that generation built carries the automorphisms its
+canonical search recorded when it was built as a child (`Graph.auts`),
+conjugated onto its canonical labelling.
 
 One loop builds each level as the merge of `_children` over chunks of
 the parents: the chunks are mapped in this process for one worker, and
@@ -151,6 +158,7 @@ from .graphs import (
     is_cycle,
     max_clique,
     relabel,
+    twins,
 )
 from .graph6 import encode_graph6
 from .induced import completing_masks, contains_induced, is_free
@@ -206,12 +214,39 @@ class _Parent:
             allowed = [1 << v for v in bits(((1 << n) - 1) & ~at[k])]
             found += map(sum, combinations(allowed, k))
         found.sort()
-        # gens[i][v]: the image of vertex v under generator i, as a bit
-        gens = [[1 << w for w in gamma] for gamma in automorphism_generators(parent)]
-        seen: set[int] = set()  # the masks of the orbits met so far
+        # prefixes[j][c]: the c least vertices of the j-th twin class of two
+        # or more vertices
+        prefixes = []
+        left = (1 << n) - 1
+        while left:
+            v, *rest = bits(left)
+            prefix = [0, 1 << v]
+            for u in rest:
+                if twins(rows, v, u):
+                    prefix.append(prefix[-1] | 1 << u)
+            left &= ~prefix[-1]
+            if len(prefix) > 2:
+                prefixes.append(prefix)
+
+        def lowered(mask: int) -> int:
+            """The mask with its vertices of each twin class moved onto the
+            least ones of the class."""
+            for prefix in prefixes:
+                part = mask & prefix[-1]
+                mask ^= part ^ prefix[part.bit_count()]
+            return mask
+
+        # gens[i][v]: the image of vertex v under the i-th generator that
+        # moves a vertex to a non-twin, as a bit
+        gens = [
+            [1 << w for w in gamma]
+            for gamma in automorphism_generators(parent)
+            if not all(w == v or twins(rows, v, w) for v, w in enumerate(gamma))
+        ]
+        seen: set[int] = set()  # the lowered masks of the orbits met so far
         self.masks: list[int] = []
         for mask in found:
-            if mask in seen:
+            if mask in seen or prefixes and lowered(mask) != mask:
                 continue  # a smaller mask of its orbit came first
             k = mask.bit_count()
             ties = at[k] & ~mask | at[k - 1] & mask  # at[-1] is empty
@@ -226,10 +261,10 @@ class _Parent:
             self.masks.append(mask)
             if gens:
                 seen.add(mask)
-                orbit = [mask]
+                orbit = [mask]  # grows while it is read
                 for m in orbit:
                     for gamma in gens:
-                        image = sum(map(gamma.__getitem__, bits(m)))
+                        image = lowered(sum(map(gamma.__getitem__, bits(m))))
                         if image not in seen:
                             seen.add(image)
                             orbit.append(image)
