@@ -171,6 +171,7 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """
     n, rows = g.n, g.rows
     kept = g.auts
+    # kept: n bytes per permutation, read back n at a time
     gens = list(_canon(n, rows)[2] if kept is None else zip(*[iter(kept)] * n))
     for v in range(n):
         for u in range(v - 1, -1, -1):
