@@ -6,6 +6,7 @@ import pytest
 
 from forbpairs.canon import (
     _canon,
+    _join,
     automorphism_generators,
     canonical_code,
     canonical_form,
@@ -14,8 +15,17 @@ from forbpairs.canon import (
     orbits,
 )
 from forbpairs.expr import graph_from_expr as G
-from forbpairs.graphs import Graph, bits, build, complement, disjoint_union, relabel
+from forbpairs.graphs import (
+    Graph,
+    bits,
+    build,
+    complement,
+    disjoint_union,
+    relabel,
+    twins,
+)
 from forbpairs.harness import generate_graphs
+from forbpairs.twins import CLIQUE, INDEPENDENT, blow_up
 
 
 def brute_isomorphic(g, h):
@@ -151,6 +161,169 @@ def test_canonical_search_matches_golden():
     assert len(found) == 4253 and sum(len(auts) for _, _, auts in found) == 4011
     assert hashlib.sha256(repr(found).encode()).hexdigest() == CANON_SHA256
 
+
+
+def reference_canon(n, rows):
+    """The canonical search that branches at every non-singleton cell and
+    refines at each child, the slow twin of `_canon`, which must return the
+    same code, vertex order and automorphisms."""
+    if n == 0:
+        return b"\x00", (), []
+
+    cells = [(1 << n) - 1]
+    best_code: tuple[int, ...] | None = None
+    best_perm: list[int] | None = None
+    auts: list[tuple[int, ...]] = []
+
+    def refine(cells: list[int]) -> list[int]:
+        while True:
+            changed = False
+            out: list[int] = []
+            for cell in cells:
+                if cell & (cell - 1) == 0:
+                    out.append(cell)
+                    continue
+                sigs: dict[int, int] = {}
+                for v in bits(cell):
+                    r = rows[v]
+                    sig = 0
+                    for c2 in cells:
+                        sig = sig << 7 | (r & c2).bit_count()
+                    if sig in sigs:
+                        sigs[sig] |= 1 << v
+                    else:
+                        sigs[sig] = 1 << v
+                if len(sigs) == 1:
+                    out.append(cell)
+                else:
+                    changed = True
+                    for sig in sorted(sigs):
+                        out.append(sigs[sig])
+            if not changed:
+                return out
+            cells = out
+
+    def search(cells: list[int], fixed: list[int]):
+        nonlocal best_code, best_perm
+        cells = refine(cells)
+
+        prefix: list[int] = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                prefix.append(cell.bit_length() - 1)
+            else:
+                break
+        partial = []
+        for i, v in enumerate(prefix):
+            r = rows[v]
+            acc = 0
+            for u in prefix[:i]:
+                acc = acc << 1 | (r >> u & 1)
+            partial.append(acc)
+        pt = tuple(partial)
+        if best_code is not None and pt > best_code[: len(pt)]:
+            return
+
+        if len(prefix) == len(cells) and len(prefix) == n:
+            if best_code is None or pt < best_code:
+                best_code = pt
+                best_perm = prefix
+            elif pt == best_code:
+                gamma = [0] * n
+                for i in range(n):
+                    gamma[best_perm[i]] = prefix[i]
+                auts.append(tuple(gamma))
+            return
+
+        t = len(prefix)
+        target = cells[t]
+        vs = bits(target)
+
+        # orbit[v]: the target-cell vertices known to share v's orbit under
+        # the automorphisms that fix every individualised vertex.  Twin
+        # candidates are automorphic images of each other fixing all other
+        # vertices, so they are merged without leaf discovery.
+        orbit = [1 << v for v in range(n)]
+        for i, u in enumerate(vs):
+            for v in vs[i + 1 :]:
+                if twins(rows, u, v):
+                    _join(orbit, u, v)
+
+        seen_auts = 0
+        tried = 0
+        for v in vs:
+            while seen_auts < len(auts):
+                gamma = auts[seen_auts]
+                seen_auts += 1
+                # refinement is invariant, so an automorphism that fixes the
+                # individualised vertices maps the target cell onto itself
+                if all(gamma[u] == u for u in fixed):
+                    for w in vs:
+                        _join(orbit, w, gamma[w])
+            if orbit[v] & tried:
+                continue
+            tried |= 1 << v
+            child = cells[:t] + [1 << v, target ^ (1 << v)] + cells[t + 1 :]
+            search(child, fixed + [v])
+
+    search(cells, [])
+    assert best_code is not None and best_perm is not None
+
+    total_bits = n * (n - 1) // 2
+    acc = 0
+    for i, row in enumerate(best_code):
+        acc = acc << i | row
+    payload = acc.to_bytes((total_bits + 7) // 8, "big") if total_bits else b""
+    return bytes([n]) + payload, tuple(best_perm), auts
+
+
+def _check_against_reference(g):
+    assert _canon(g.n, g.rows) == reference_canon(g.n, g.rows), g
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_canonical_search_matches_reference_up_to_seven():
+    """Every graph on at most 7 vertices, canonically labelled and in a
+    shuffled labelling."""
+    rng = random.Random(19)
+    for n in range(8):
+        for g in generate_graphs(n):
+            _check_against_reference(g)
+            _check_against_reference(_shuffled(g, rng))
+
+
+def _twin_rich_graphs(rng, count):
+    """Blow-ups of random graphs on at most 6 vertices, each vertex a clique
+    or an independent set of 1 to 4 vertices, half of them complemented, in
+    shuffled labellings: graphs on at most 24 vertices with large twin
+    classes."""
+    for _ in range(count):
+        base = _random_graph(rng, rng.randint(1, 6))
+        spec = [(rng.choice((CLIQUE, INDEPENDENT)), rng.randint(1, 4)) for _ in range(base.n)]
+        g = blow_up(base, spec)
+        if rng.random() < 0.5:
+            g = complement(g)
+        yield _shuffled(g, rng)
+
+
+def test_canonical_search_matches_reference_on_blow_ups():
+    for g in _twin_rich_graphs(random.Random(24), 2000):
+        _check_against_reference(g)
+
+
+@pytest.mark.slow
+def test_canonical_search_matches_reference_eight():
+    """All 12,346 graphs of order 8, in shuffled labellings."""
+    rng = random.Random(8)
+    graphs = generate_graphs(8)
+    assert len(graphs) == 12346
+    for g in graphs:
+        _check_against_reference(_shuffled(g, rng))
 
 def _generated_group(n, gens):
     """The closure of gens under composition, as vertex -> image tuples."""
