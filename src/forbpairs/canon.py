@@ -76,12 +76,25 @@ def _canon(n: int, rows: Sequence[int]):
         nonlocal best_code, best_perm
         cells = refine(cells)
 
+        # A cell of mutual twins is one orbit, so it would make one child, and
+        # splitting it leaves the partition equitable, so refining that child
+        # would change nothing: its vertices are individualised in increasing
+        # order here, without branching or refining.
         prefix: list[int] = []
-        for cell in cells:
-            if cell & (cell - 1) == 0:
-                prefix.append(cell.bit_length() - 1)
+        t = 0
+        while t < len(cells):
+            cell = cells[t]
+            if cell & (cell - 1):
+                vs = bits(cell)
+                if not all(twins(rows, vs[0], u) for u in vs[1:]):
+                    break
+                cells[t : t + 1] = [1 << v for v in vs]
+                fixed = [*fixed, *vs[:-1]]
+                prefix += vs
+                t += len(vs)
             else:
-                break
+                prefix.append(cell.bit_length() - 1)
+                t += 1
         partial = []
         for i, v in enumerate(prefix):
             r = rows[v]
@@ -104,7 +117,6 @@ def _canon(n: int, rows: Sequence[int]):
                 auts.append(tuple(gamma))
             return
 
-        t = len(prefix)
         target = cells[t]
         vs = bits(target)
 
