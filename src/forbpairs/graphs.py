@@ -81,7 +81,7 @@ class Graph:
         ]
 
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows

@@ -72,11 +72,12 @@ content.  Neither the invariant filter nor the orbit test depends on the
 pattern set, and neither does a child, which its parent and mask fix, nor
 the masks that complete one pattern, which its parent and the pattern
 fix.  So one record per parent, `_parent`, holds the candidate masks (the
-masks that pass both tests), the children built so far, each with the
-automorphisms of its own search for its record as a parent, and, by
-pattern, the candidate masks that complete it, as the set bits of one
-int, bit i for `masks[i]` (one bit per candidate, not per possible mask),
-for every class that shares the parent.  `_children` runs the pair test
+masks that pass both tests), the children that restricted classes have
+built so far, each with the automorphisms of its own search for its
+record as a parent, and, by pattern, the candidate masks that complete
+it, as the set bits of one int, bit i for `masks[i]` (one bit per
+candidate, not per possible mask), for every class that shares the
+parent.  `_children` runs the pair test
 only: it ORs the completing masks of the class's patterns and keeps the
 candidate masks whose bit is clear.  A record's children and masks are evicted
 with it.  `PARENT_CACHE_SIZE` (512) comes from replaying the parent keys
@@ -86,8 +87,8 @@ several sizes.  120 small pair classes ask for 53 distinct parents and
 n <= 8 ask for 1,211 parents (512 distinct) and 2,971 children (1,615
 distinct): 512 entries hold them all, 384 miss 42 parents and 83
 children more, and 256 miss 423 parents and 963 children more.
-Unrestricted generation up to order 8 repeats no parent, so there the
-cache only costs memory.
+Unrestricted generation up to order 8 repeats no parent, so it builds
+its children without keeping them in the records.
 
 The other cache, `_walk`, holds one walk per class: the levels built so
 far, from order 0 up.  Every caller reads a class as a walk over orders
@@ -187,8 +188,8 @@ CLASS_CACHE_SIZE = 4096
 
 class _Parent:
     """What a parent fixes whatever the pattern set: the candidate masks,
-    in increasing order, the canonical children built from it so far, by
-    mask, and the candidate masks that complete each pattern asked about
+    in increasing order, the canonical children that restricted classes
+    built from it so far, by mask, and the candidate masks that complete each pattern asked about
     so far, by pattern.  A candidate mask is the neighbourhood of a new
     vertex that has the maximal (degree, neighbour degree sum) of the
     child, and that is the least mask of its orbit under the parent's
@@ -281,18 +282,23 @@ class _Parent:
         return known
 
     def child(self, mask: int) -> tuple[bytes, Graph]:
-        """Canonical code and canonically labelled copy of the parent plus
-        one vertex whose neighbourhood is mask."""
+        """`extend(mask)`, kept in the record for the classes that share
+        the parent."""
         known = self.children.get(mask)
         if known is None:
-            parent = self.graph
-            new_bit = 1 << parent.n
-            rows = [r | new_bit if mask >> v & 1 else r for v, r in enumerate(parent.rows)]
-            rows.append(mask)
-            g = Graph(parent.n + 1, rows)
-            code, perm = canonical_form(g)
-            known = self.children[mask] = code, relabel(g, perm)
+            known = self.children[mask] = self.extend(mask)
         return known
+
+    def extend(self, mask: int) -> tuple[bytes, Graph]:
+        """Canonical code and canonically labelled copy of the parent plus
+        one vertex whose neighbourhood is mask."""
+        parent = self.graph
+        new_bit = 1 << parent.n
+        rows = [r | new_bit if mask >> v & 1 else r for v, r in enumerate(parent.rows)]
+        rows.append(mask)
+        g = Graph(parent.n + 1, rows)
+        code, perm = canonical_form(g)
+        return code, relabel(g, perm)
 
 
 # the parent records, by parent
@@ -301,16 +307,19 @@ _parent = lru_cache(maxsize=PARENT_CACHE_SIZE)(_Parent)
 
 def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
     """Canonical (code, graph) pairs for the one-vertex extensions of the
-    parents by their candidate masks that complete no pattern copy."""
+    parents by their candidate masks that complete no pattern copy.  An
+    unrestricted walk asks for no parent twice, so it keeps no child in
+    the records."""
     out: dict[bytes, Graph] = {}
     for parent in parents:
         record = _parent(parent)
+        build = record.child if patterns else record.extend
         blocked = 0
         for p in patterns or ():
             blocked |= record.completes(p)
         for i, mask in enumerate(record.masks):
             if not blocked >> i & 1:
-                code, child = record.child(mask)
+                code, child = build(mask)
                 out[code] = child  # equal codes carry identical canonical graphs
     return out
 

@@ -163,15 +163,20 @@ def test_parents_are_not_searched_again(monkeypatch):
     """With every cache empty, a walk of all graphs to order 7 runs one
     canonical search per child built and none while a parent record is
     built: each parent carries the automorphisms that its search as a
-    child recorded."""
+    child recorded.  The walk keeps no child in the records."""
     from forbpairs import canon, harness
 
-    search, init = canon._canon, harness._Parent.__init__
+    search, init, form = canon._canon, harness._Parent.__init__, harness.canonical_form
     building, records, calls = [], [], []  # calls: True when inside a record
+    built = []  # the children given a canonical form
 
     def counted(*args):
         calls.append(bool(building))
         return search(*args)
+
+    def child_form(g):
+        built.append(g)
+        return form(g)
 
     def record(self, parent):
         building.append(parent)
@@ -182,13 +187,15 @@ def test_parents_are_not_searched_again(monkeypatch):
         records.append(self)
 
     monkeypatch.setattr(canon, "_canon", counted)
+    monkeypatch.setattr(harness, "canonical_form", child_form)
     monkeypatch.setattr(harness._Parent, "__init__", record)
     for cache in (harness._walk, harness._parent):
         cache.cache_clear()
     assert len(generate_graphs(7)) == KNOWN_COUNTS[7]
     assert len(records) == sum(KNOWN_COUNTS[:7])
-    assert len(calls) == sum(len(r.children) for r in records) > 0
+    assert len(calls) == len(built) > 0
     assert not any(calls)
+    assert not any(r.children for r in records)
 
 
 def _extension(parent, mask):
