@@ -9,6 +9,20 @@ and under the automorphisms found between equal-code leaves that fix the
 individualised vertices.  Both prunings only skip subtrees whose leaf codes
 are provably already represented, so the minimum is unaffected.
 
+A cell of mutual twins is walked without branching or refining.  When the
+first cell of two or more vertices holds only twins of one another, its
+vertices are individualised in increasing order, all but the last joining
+the fixed vertices, and the search goes on to the next cell.  Branching
+there would make one child only, since the twins of the cell form one
+orbit.  Refining that child would change nothing: twins have the same
+neighbours outside the cell, so splitting one off leaves the partition
+equitable.  And a prefix pruned partway along the walk is pruned at its
+end, since the longer prefix extends it.  So the search visits the same
+leaves in the same order as one that branches at every cell, and the
+code, the vertex order and the recorded automorphisms are the same; the
+tests keep that search as the reference.  Testing the cell against its
+least vertex is enough, since being twins is an equivalence relation.
+
 `orbits` gives the orbits of the whole automorphism group, joined the same
 way from `automorphism_generators`.  Those generators come from the
 search that labelled the graph when there was one: `canonical_form` keeps
