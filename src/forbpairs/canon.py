@@ -90,10 +90,8 @@ def _canon(n: int, rows: Sequence[int]):
         nonlocal best_code, best_perm
         cells = refine(cells)
 
-        # A cell of mutual twins is one orbit, so it would make one child, and
-        # splitting it leaves the partition equitable, so refining that child
-        # would change nothing: its vertices are individualised in increasing
-        # order here, without branching or refining.
+        # a cell of mutual twins would make one child, which refinement would
+        # leave alone, so it is walked in increasing order (module docstring)
         prefix: list[int] = []
         t = 0
         while t < len(cells):

@@ -77,10 +77,9 @@ built so far, each with the automorphisms of its own search for its
 record as a parent, and, by pattern, the candidate masks that complete
 it, as the set bits of one int, bit i for `masks[i]` (one bit per
 candidate, not per possible mask), for every class that shares the
-parent.  `_children` runs the pair test
-only: it ORs the completing masks of the class's patterns and keeps the
-candidate masks whose bit is clear.  A record's children and masks are evicted
-with it.  `PARENT_CACHE_SIZE` (512) comes from replaying the parent keys
+parent.  `_children` runs the pair test only: it ORs the completing
+masks of the class's patterns and keeps the candidate masks whose bit is
+clear.  A record's children and masks are evicted with it.  `PARENT_CACHE_SIZE` (512) comes from replaying the parent keys
 that one benchmark repetition asks for (seed 7) through LRU caches of
 several sizes.  120 small pair classes ask for 53 distinct parents and
 211 distinct children, and 64 entries hold them all.  Seven classes at
@@ -189,8 +188,8 @@ CLASS_CACHE_SIZE = 4096
 class _Parent:
     """What a parent fixes whatever the pattern set: the candidate masks,
     in increasing order, the canonical children that restricted classes
-    built from it so far, by mask, and the candidate masks that complete each pattern asked about
-    so far, by pattern.  A candidate mask is the neighbourhood of a new
+    built from it so far, by mask, and the candidate masks that complete
+    each pattern asked about so far, by pattern.  A candidate mask is the neighbourhood of a new
     vertex that has the maximal (degree, neighbour degree sum) of the
     child, and that is the least mask of its orbit under the parent's
     automorphism group."""
