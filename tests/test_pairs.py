@@ -174,3 +174,45 @@ def test_class_specs():
     assert gcoa.contains(G("C8")) and not gcoa.contains(G("C9"))
     assert not gcoa.contains(G("2K2"))  # disconnected
     assert not gcoa.contains(G("K5"))  # independence 1
+
+
+def _reference_shapes(g, host_codes):
+    """`pairs._shapes` by its definition: an "induced subgraph of" shape
+    holds when g's canonical code is among the codes of the host's induced
+    subgraphs, `host_codes`."""
+    from forbpairs import catalog
+    from forbpairs.canon import canonical_code
+    from forbpairs.pairs import _ANY, _FAMILIES
+
+    form = catalog.recognize(g)
+    shapes = {_ANY, str(form)}
+    shapes.update(
+        name for name, (tag, least) in _FAMILIES.items()
+        if form.tag == tag and form.params[0] >= least
+    )
+    code = canonical_code(g)
+    shapes.update(name for name, codes in host_codes.items() if code in codes)
+    return shapes
+
+
+def test_shapes_match_their_definition():
+    """Every graph on 1..7 vertices, in its canonical labelling and shuffled."""
+    from forbpairs import catalog
+    from forbpairs.canon import canonical_code
+    from forbpairs.harness import generate_upto
+    from forbpairs.induced import induced_closure
+    from forbpairs.pairs import _IN_CO_K3_P4, _IN_P4, _shapes
+
+    host_codes = {
+        name: {canonical_code(s) for subs in induced_closure(host).values() for s in subs}
+        for name, host in ((_IN_P4, catalog.path(4)), (_IN_CO_K3_P4, catalog.co_k3_p4()))
+    }
+    rng = random.Random(11)
+    graphs = list(generate_upto(7))
+    assert len(graphs) == 1252
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        expected = _reference_shapes(g, host_codes)
+        assert _shapes(g) == expected, g
+        assert _shapes(relabel(g, perm)) == expected, g
