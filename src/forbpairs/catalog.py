@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .canon import canonical_code
 from .graphs import (
     Graph,
     build,
@@ -134,8 +135,6 @@ _SPECIFIC = (
 
 @lru_cache(maxsize=1)
 def _specific_codes() -> dict[bytes, str]:
-    from .canon import canonical_code
-
     return {canonical_code(make()): tag for tag, make in _SPECIFIC}
 
 
@@ -162,8 +161,6 @@ def recognize(g: Graph) -> NamedForm:
         return NamedForm("Cn", (n,))
     if is_path(g):
         return NamedForm("Pn", (n,))
-    from .canon import canonical_code
-
     tag = _specific_codes().get(canonical_code(g))
     if tag is not None:
         return NamedForm(tag)

@@ -19,12 +19,13 @@ from .graphs import Graph, bits, invariants, shape_report
 from .pairs import (
     COLLECTIONS,
     NAMED_CLASSES,
+    PROPERTIES,
     PairSpec,
     classify_pair,
     theorem_collection,
 )
 from .perfection import is_perfect_spgt
-from .ramsey import THRESHOLD_PARAMS, load_overrides, ramsey, threshold
+from .ramsey import THRESHOLDS, load_overrides, ramsey, threshold
 
 # one runnable example per subcommand; the test suite executes these
 EXAMPLES = {
@@ -57,14 +58,11 @@ def _graph_arg(text: str, graph6: bool) -> Graph:
     return graph_from_expr(text)
 
 
-def _add_graph_flags(sub):
-    sub.add_argument("--graph6", action="store_true",
-                     help="treat graph arguments as graph6 instead of expressions")
-    sub.add_argument("--threads", type=int, default=1)
-
-
-def _example_epilog(name: str) -> str:
-    return "example: forbpairs " + " ".join(EXAMPLES[name])
+def _shared(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding an option that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,88 +72,61 @@ def build_parser() -> argparse.ArgumentParser:
                     "omega-colourability of small graphs",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    graph6 = _shared("--graph6", action="store_true",
+                     help="treat graph arguments as graph6 instead of expressions")
+    threads = _shared("--threads", type=int, default=1)
+    expr = _shared("--expr", required=True)
+    pair = _shared("--pair", nargs=2, required=True, metavar=("X", "Y"))
+    class_prop = _shared("--class", dest="class_name", required=True,
+                      choices=sorted(NAMED_CLASSES))
+    class_prop.add_argument("--property", dest="prop", required=True, choices=PROPERTIES)
+    nmax = _shared("--nmax", type=int, default=9)
 
-    p = subs.add_parser("expr", help="parse an expression; print graph6 and shape",
-                        epilog=_example_epilog("expr"))
+    def add(name, summary, *parents):
+        return subs.add_parser(name, help=summary, parents=parents,
+                               epilog="example: forbpairs " + " ".join(EXAMPLES[name]))
+
+    p = add("expr", "parse an expression; print graph6 and shape", graph6)
     p.add_argument("text")
-    p.add_argument("--graph6", action="store_true")
 
-    p = subs.add_parser("check", help="invariants / perfectness / omega-colourability",
-                        epilog=_example_epilog("check"))
-    p.add_argument("--expr", required=True)
-    p.add_argument("--graph6", action="store_true")
+    p = add("check", "invariants / perfectness / omega-colourability", expr, graph6)
     p.add_argument("--perfect", action="store_true")
     p.add_argument("--omega", action="store_true")
     p.add_argument("--invariants", action="store_true")
 
-    p = subs.add_parser("classify", help="pair -> collection membership vector",
-                        epilog=_example_epilog("classify"))
-    p.add_argument("--pair", nargs=2, required=True, metavar=("X", "Y"))
-    p.add_argument("--graph6", action="store_true")
+    add("classify", "pair -> collection membership vector", pair, graph6)
 
-    p = subs.add_parser("theorem", help="class+property -> characterising collection",
-                        epilog=_example_epilog("theorem"))
-    p.add_argument("--class", dest="class_name", required=True,
-                   choices=sorted(NAMED_CLASSES))
-    p.add_argument("--property", dest="prop", required=True,
-                   choices=["perfect", "omega"])
+    p = add("theorem", "class+property -> characterising collection", class_prop)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--finite", action="store_true",
                        help="allow finitely many exceptions")
     group.add_argument("--no-exceptions", action="store_true")
 
-    p = subs.add_parser("verify", help="check a property over a whole class",
-                        epilog=_example_epilog("verify"))
-    p.add_argument("--pair", nargs=2, required=True, metavar=("X", "Y"))
-    p.add_argument("--class", dest="class_name", required=True,
-                   choices=sorted(NAMED_CLASSES))
-    p.add_argument("--property", dest="prop", required=True,
-                   choices=["perfect", "omega"])
-    p.add_argument("--nmax", type=int, default=9)
+    p = add("verify", "check a property over a whole class",
+            pair, class_prop, nmax, graph6, threads)
     p.add_argument("--full", action="store_true",
                    help="enumerate all graphs instead of the free class")
-    _add_graph_flags(p)
 
-    p = subs.add_parser("hunt", help="list all counterexamples up to --nmax",
-                        epilog=_example_epilog("hunt"))
-    p.add_argument("--pair", nargs=2, required=True, metavar=("X", "Y"))
-    p.add_argument("--class", dest="class_name", required=True,
-                   choices=sorted(NAMED_CLASSES))
-    p.add_argument("--property", dest="prop", required=True,
-                   choices=["perfect", "omega"])
-    p.add_argument("--nmax", type=int, default=9)
-    _add_graph_flags(p)
+    add("hunt", "list all counterexamples up to --nmax", pair, class_prop, nmax, graph6, threads)
 
-    p = subs.add_parser("census", help="census of a free class under predicates",
-                        epilog=_example_epilog("census"))
+    p = add("census", "census of a free class under predicates", graph6, threads)
     p.add_argument("--free", nargs="+", required=True, metavar="PATTERN")
     p.add_argument("--predicate", action="append", default=[],
                    choices=sorted(harness.PREDICATES))
     p.add_argument("--nmax", type=int, default=8)
-    _add_graph_flags(p)
 
-    p = subs.add_parser("catalog", help="derive the blow-up base catalog",
-                        epilog=_example_epilog("catalog"))
-    p.add_argument("--nmax", type=int, default=9)
-    p.add_argument("--threads", type=int, default=1)
+    add("catalog", "derive the blow-up base catalog", nmax, threads)
 
-    p = subs.add_parser("colour", help="constructive omega-colouring (clique peel)",
-                        epilog=_example_epilog("colour"))
-    p.add_argument("--expr", required=True)
-    p.add_argument("--graph6", action="store_true")
+    p = add("colour", "constructive omega-colouring (clique peel)", expr, graph6)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
 
-    p = subs.add_parser("decompose", help="olariu or C5-blow-up decomposition",
-                        epilog=_example_epilog("decompose"))
-    p.add_argument("--expr", required=True)
-    p.add_argument("--graph6", action="store_true")
+    p = add("decompose", "olariu or C5-blow-up decomposition", expr, graph6)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--olariu", action="store_true")
     group.add_argument("--blowup", action="store_true")
 
-    p = subs.add_parser("bounds", help="Ramsey values and named thresholds",
-                        epilog=_example_epilog("bounds"))
+    p = add("bounds", "Ramsey values and named thresholds")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ramsey", nargs=2, type=int, metavar=("K", "L"))
     group.add_argument("--threshold", nargs="+", metavar="NAME [K [L]]")
@@ -203,10 +174,12 @@ def _cmd_check(args) -> int:
     return rc
 
 
+def _pair(args) -> PairSpec:
+    return PairSpec(*(_graph_arg(text, args.graph6) for text in args.pair))
+
+
 def _cmd_classify(args) -> int:
-    x = _graph_arg(args.pair[0], args.graph6)
-    y = _graph_arg(args.pair[1], args.graph6)
-    vec = classify_pair(PairSpec(x, y))
+    vec = classify_pair(_pair(args))
     for name in COLLECTIONS:
         print(f"{name}: {'yes' if vec[name] else 'no'}")
     return 0
@@ -218,33 +191,21 @@ def _cmd_theorem(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    x = _graph_arg(args.pair[0], args.graph6)
-    y = _graph_arg(args.pair[1], args.graph6)
-    report = harness.verify_universal(
-        PairSpec(x, y),
-        NAMED_CLASSES[args.class_name],
-        args.prop,
-        args.nmax,
-        class_name=args.class_name,
-        threads=args.threads,
-        restricted=not args.full,
+def _verify(args, restricted: bool = True) -> harness.VerificationReport:
+    return harness.verify_universal(
+        _pair(args), NAMED_CLASSES[args.class_name], args.prop, args.nmax,
+        class_name=args.class_name, threads=args.threads, restricted=restricted,
     )
+
+
+def _cmd_verify(args) -> int:
+    report = _verify(args, restricted=not args.full)
     print(report.to_text())
     return 0 if report.verdict == "all_hold" else 1
 
 
 def _cmd_hunt(args) -> int:
-    x = _graph_arg(args.pair[0], args.graph6)
-    y = _graph_arg(args.pair[1], args.graph6)
-    found = harness.verify_universal(
-        PairSpec(x, y),
-        NAMED_CLASSES[args.class_name],
-        args.prop,
-        args.nmax,
-        class_name=args.class_name,
-        threads=args.threads,
-    ).counterexamples
+    found = _verify(args).counterexamples
     print(f"counterexamples: {len(found)}")
     for ce in found:
         print(f"counterexample\t{ce.graph6}\t{args.prop}\t{ce.certificate}")
@@ -313,11 +274,11 @@ def _cmd_bounds(args) -> int:
         print(f"R({k},{l}) = {bv.value} ({'exact' if bv.exact else 'upper bound'})")
         return 0
     name, *params = args.threshold
-    if name not in THRESHOLD_PARAMS:
+    if name not in THRESHOLDS:
         raise ValueError(
-            f"unknown threshold {name!r}; choose from {', '.join(THRESHOLD_PARAMS)}"
+            f"unknown threshold {name!r}; choose from {', '.join(THRESHOLDS)}"
         )
-    names = THRESHOLD_PARAMS[name]
+    names = THRESHOLDS[name]
     takes = " and ".join(v.upper() for v in names) or "no parameters"
     if len(params) > len(names):
         raise ValueError(f"threshold {name!r} takes {takes}; got {len(params)}")

@@ -71,23 +71,18 @@ Generation keeps two bounded LRU caches, each keyed by what fixes its
 content.  Neither the invariant filter nor the orbit test depends on the
 pattern set, and neither does a child, which its parent and mask fix, nor
 the masks that complete one pattern, which its parent and the pattern
-fix.  So one record per parent, `_parent`, holds the candidate masks (the
-masks that pass both tests), the children that restricted classes have
-built so far, each with the automorphisms of its own search for its
-record as a parent, and, by pattern, the candidate masks that complete
-it, as the set bits of one int, bit i for `masks[i]` (one bit per
-candidate, not per possible mask), for every class that shares the
-parent.  `_children` runs the pair test only: it ORs the completing
-masks of the class's patterns and keeps the candidate masks whose bit is
-clear.  A record's children and masks are evicted with it.  `PARENT_CACHE_SIZE` (512) comes from replaying the parent keys
-that one benchmark repetition asks for (seed 7) through LRU caches of
-several sizes.  120 small pair classes ask for 53 distinct parents and
-211 distinct children, and 64 entries hold them all.  Seven classes at
-n <= 8 ask for 1,211 parents (512 distinct) and 2,971 children (1,615
-distinct): 512 entries hold them all, 384 miss 42 parents and 83
-children more, and 256 miss 423 parents and 963 children more.
-Unrestricted generation up to order 8 repeats no parent, so it builds
-its children without keeping them in the records.
+fix.  So one record per parent, `_parent`, keyed by the parent, holds the
+candidate masks (the masks that pass both tests), the children that
+restricted classes have built so far, each with the automorphisms of its
+own search for its record as a parent, and, by pattern, the candidate
+masks that complete it, as the set bits of one int, bit i for `masks[i]`
+(one bit per candidate, not per possible mask), for every class that
+shares the parent.  `_children` runs the pair test only: it ORs the
+completing masks of the class's patterns and keeps the candidate masks
+whose bit is clear.  Unrestricted generation repeats no parent, so it
+builds its children without keeping them in the records.  The records
+are bounded, `PARENT_CACHE_SIZE`, because every class walked adds
+parents, each with its masks and children, which are evicted with it.
 
 The other cache, `_walk`, holds one walk per class: the levels built so
 far, from order 0 up.  Every caller reads a class as a walk over orders
@@ -98,40 +93,24 @@ restricts nothing and reads that walk too.  The thread count is not in
 the key, so it decides how a level is built, never whether it is built
 again.  The same patterns in another order or labelling make a walk of
 their own, with the same levels; no caller passes such lists, and a key
-up to isomorphism would cost a canonical form per pattern and call.
-`WALK_CACHE_SIZE` (24) comes from replaying the 1,988 requests of one
-run of the test suite, 112 classes, through LRU caches of walks.  24 is
-the fewest walks that build fewer levels (999) than an LRU cache of 64
-single levels keyed up to isomorphism (1,032); 16 walks build 1,065, 32
-build 949 and unbounded ones 768.  The walk of all graphs up to order 9
-dominates what the cache holds at any size.  Each benchmark workload
-needs one walk.
+up to isomorphism would cost a canonical form per pattern and call.  The
+walks are bounded, `WALK_CACHE_SIZE`, because each holds whole levels and
+every new pattern list starts one.
 
 Verifies share a third bounded cache: the oracle verdicts, by labelled
 graph and property.  Every generated graph is canonically labelled, so a
 graph that many pairs and classes examine asks for its verdict once, and
 the certificate, a function of the labelled graph, is the same text.  A
 counterexample is re-validated by the uncached oracle, `_certificate`.
-`VERDICT_CACHE_SIZE` (1,024) comes from replaying the keys that the
-verifies ask for.  The 120-pair benchmark survey asks 19,956-21,126
-times for 416 keys (seeds 1, 2, 3 and 7: every graph on 1..6 vertices,
-for both properties); 512 entries hold them all, and 256 miss
-12,154-13,767 times.  One run of the test suite asks 12,303 times for
-6,997 keys: LRU caches of 512, 1,024, 2,048 and 4,096 entries miss
-8,814, 8,432, 8,001 and 7,790 times.  1,024 holds the survey's keys with
-room to spare, and doubling it saves the suite 431 more oracle calls
-only.
-
 A fourth bounded cache, `_in_class`, holds class membership by class and
 labelled graph, for the same reason: the pairs of a survey ask the same
 classes about the same small graphs.  A miss calls `cls.contains` at call
-time; a counterexample is re-validated by `cls.contains` itself.
-`CLASS_CACHE_SIZE` (4,096) comes from replaying the recorded keys.  The
-120-pair survey asks 29,350-29,444 times for 2,079-2,080 keys (seeds 1,
-2, 3 and 7); 4,096 entries hold them all, and 2,048 miss 66-126 times
-more.  One run of the test suite asks 33,307 times for 15,985 keys: LRU
-caches of 2,048, 4,096 and 8,192 entries miss 20,240, 19,541 and 18,571
-times.
+time; a counterexample is re-validated by `cls.contains` itself.  Both
+are bounded, `VERDICT_CACHE_SIZE` and `CLASS_CACHE_SIZE`, because every
+graph that a verify examines adds a key.
+
+Each size comes from replaying recorded keys through LRU caches of
+several sizes; README Notes give the replays.
 
 Report schema (machine-readable lines)::
 

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import catalog
-from .canon import canonical_code
 from .graphs import Graph, has_independent_set, is_connected, is_cycle
-from .induced import induced_closure
+from .induced import contains_induced
 
 _ANY = "any graph"
 _IN_P4 = "induced subgraph of P4"
 _IN_CO_K3_P4 = "induced subgraph of co(K3+P4)"
+_HOSTS = {_IN_P4: catalog.path(4), _IN_CO_K3_P4: catalog.co_k3_p4()}
 
 # bounded family -> (catalog.recognize tag, least parameter)
 _FAMILIES = {
@@ -106,25 +106,17 @@ def _flattened(collection: str) -> frozenset[frozenset[str]]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=1)
-def _subgraph_codes() -> dict[str, frozenset[bytes]]:
-    return {
-        shape: frozenset(
-            canonical_code(sub) for subs in induced_closure(g).values() for sub in subs
-        )
-        for shape, g in ((_IN_P4, catalog.path(4)), (_IN_CO_K3_P4, catalog.co_k3_p4()))
-    }
-
-
 def _shapes(g: Graph) -> set[str]:
     form = catalog.recognize(g)
-    code = canonical_code(g)
     shapes = {_ANY, str(form)}
     shapes.update(
         name for name, (tag, least) in _FAMILIES.items()
         if form.tag == tag and form.params[0] >= least
     )
-    shapes.update(name for name, codes in _subgraph_codes().items() if code in codes)
+    if g.n >= 1:  # the matcher embeds the 0-vertex graph anywhere; no shape holds it
+        shapes.update(
+            name for name, host in _HOSTS.items() if contains_induced(host, g) is not None
+        )
     return shapes
 
 
@@ -166,6 +158,9 @@ class ClassSpec:
             return False
         return True
 
+
+# the properties a class is characterised for
+PROPERTIES = ("perfect", "omega")
 
 NAMED_CLASSES = {
     "G": ClassSpec(),
@@ -216,8 +211,8 @@ def theorem_collection(class_name: str, prop: str, finite_exceptions: bool) -> s
     """The collection characterising (class, property) per the main theorems."""
     if class_name not in NAMED_CLASSES:
         raise ValueError(f"unknown class {class_name!r}")
-    if prop not in ("perfect", "omega"):
-        raise ValueError(f"property must be 'perfect' or 'omega', not {prop!r}")
+    if prop not in PROPERTIES:
+        raise ValueError(f"property must be {' or '.join(map(repr, PROPERTIES))}, not {prop!r}")
     table = _FINITE_EXC if finite_exceptions else _NO_EXC
     try:
         return table[(class_name, prop)]

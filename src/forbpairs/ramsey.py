@@ -26,17 +26,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma, log
 
+from .catalog import complete, empty_graph
 from .graphs import Graph, build, complement
 from .graph6 import decode_graph6
+from .induced import contains_induced
 
 
 @dataclass(frozen=True)
 class BoundValue:
     value: int
     exact: bool
-
-    def __int__(self) -> int:
-        return self.value
 
 
 _EXACT_TABLE = {
@@ -75,9 +74,6 @@ def _witnesses() -> dict[tuple[int, int], Graph]:
 
 @lru_cache(maxsize=1)
 def _validated_witnesses() -> dict[tuple[int, int], Graph]:
-    from .catalog import complete, empty_graph
-    from .induced import contains_induced
-
     out = {}
     for (k, l), w in _witnesses().items():
         if w.n != _EXACT_TABLE[(k, l)] - 1:
@@ -199,73 +195,61 @@ def _crowd_term(k: int) -> int:
     return _ceil_div(8 * k * (k * k - 1), 2 * k + 1)
 
 
+# each named sufficient-order/clique threshold -> {parameter: least value}
+THRESHOLDS = {
+    # order forcing a {kK1uK2,K3}-free graph bipartite
+    "bipartite_kK1K2": {"k": 2},
+    # order forcing independence 5 in K3-free graphs
+    "indep5": {},
+    # order forcing K_l in kK1-free complete multipartite unions
+    "multipartite_clique": {"k": 1, "l": 1},
+    # order of the multipartite side of the component split that forces a
+    # clique matching the other side
+    "split_clique": {"k": 3},
+    # order forcing omega-colourability, {kK1uK2,Z1}-free
+    "omega_kK1K2_Z1": {"k": 3},
+    # order forcing omega-colourability, {kK1uK2,D}-free
+    "omega_kK1K2_D": {"k": 3},
+    # order forcing omega-colourability, {(k+1)K1,co(lK1uK2)}-free
+    "omega_kK1_coK1K2": {"k": 3, "l": 2},
+    # clique number letting the peel colouring run
+    "peel_omega": {"k": 3, "l": 2},
+}
+
+
 def threshold(name: str, k: int | None = None, l: int | None = None,
               table: RamseyTable | None = None) -> BoundValue:
-    """Evaluate one of the named sufficient-order/clique thresholds.
-
-    bipartite_kK1K2(k)        order forcing a {kK1uK2,K3}-free graph bipartite
-    indep5                    order forcing independence 5 in K3-free graphs
-    multipartite_clique(k,l)  order forcing K_l in kK1-free complete
-                              multipartite unions
-    split_clique(k)           order of the multipartite side of the component
-                              split that forces a clique matching the other side
-    omega_kK1K2_Z1(k)         order forcing omega-colourability, {kK1uK2,Z1}-free
-    omega_kK1K2_D(k)          order forcing omega-colourability, {kK1uK2,D}-free
-    omega_kK1_coK1K2(k,l)     order forcing omega-colourability,
-                              {(k+1)K1,co(lK1uK2)}-free
-    peel_omega(k,l)           clique number letting the peel colouring run
-    """
+    """Evaluate one of the named thresholds of `THRESHOLDS`, each of the
+    parameters it takes at least its least value."""
+    if name not in THRESHOLDS:
+        raise ValueError(f"unknown threshold {name!r}")
+    given = {"k": k, "l": l}
+    least = THRESHOLDS[name]
+    if any(given[p] is None or given[p] < v for p, v in least.items()):
+        need = ", ".join(f"{p} >= {v}" for p, v in least.items())
+        raise ValueError(f"threshold {name!r}: {need} required")
     t = table or _DEFAULT
-
-    def need(cond: bool, what: str):
-        if not cond:
-            raise ValueError(f"threshold {name!r}: {what}")
-
     if name == "bipartite_kK1K2":
-        need(k is not None and k >= 2, "k >= 2 required")
         r = t.value(k - 1, 3)
         return BoundValue(r.value + _crowd_term(k) + 2 * k + 2, r.exact)
     if name == "indep5":
-        r = t.value(5, 3)
-        return BoundValue(r.value, r.exact)
+        return t.value(5, 3)
     if name == "multipartite_clique":
-        need(k is not None and l is not None and k >= 1 and l >= 1, "k,l >= 1 required")
         return BoundValue((k - 1) * (l - 1) + 1, True)
     if name == "split_clique":
-        need(k is not None and k >= 3, "k >= 3 required")
         n = threshold("bipartite_kK1K2", k, table=t)
         return BoundValue(n.value * (k - 2) - 2 * k + 5, n.exact)
     if name == "omega_kK1K2_Z1":
-        need(k is not None and k >= 3, "k >= 3 required")
         r = t.value(k - 1, 3)
         return BoundValue((k - 1) * (r.value + _crowd_term(k) + 2 * k) + 2, r.exact)
     if name == "omega_kK1K2_D":
-        need(k is not None and k >= 3, "k >= 3 required")
         inner = t.value(k, k)
         outer = t.value(2 * k, inner.value + k)
         return BoundValue(outer.value, inner.exact and outer.exact)
+    m = k * (l - 1)  # omega_kK1_coK1K2 and peel_omega are left
     if name == "omega_kK1_coK1K2":
-        need(k is not None and l is not None and k >= 3 and l >= 2, "k >= 3, l >= 2 required")
-        m = k * (l - 1)
         inner = t.value(k, m)
         outer = t.value(k + 1, inner.value + m)
         return BoundValue(outer.value, inner.exact and outer.exact)
-    if name == "peel_omega":
-        need(k is not None and l is not None and k >= 3 and l >= 2, "k >= 3, l >= 2 required")
-        m = k * (l - 1)
-        r = t.value(k, m)
-        return BoundValue(r.value + m, r.exact)
-    raise ValueError(f"unknown threshold {name!r}")
-
-
-# each named threshold and the parameters it takes
-THRESHOLD_PARAMS = {
-    "bipartite_kK1K2": ("k",),
-    "indep5": (),
-    "multipartite_clique": ("k", "l"),
-    "split_clique": ("k",),
-    "omega_kK1K2_Z1": ("k",),
-    "omega_kK1K2_D": ("k",),
-    "omega_kK1_coK1K2": ("k", "l"),
-    "peel_omega": ("k", "l"),
-}
+    r = t.value(k, m)
+    return BoundValue(r.value + m, r.exact)

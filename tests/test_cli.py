@@ -1,6 +1,7 @@
 import pytest
 
 from forbpairs.cli import EXAMPLES, main
+from forbpairs.ramsey import THRESHOLDS
 
 # expected exit code for each documented example
 EXPECTED_EXIT = {
@@ -100,6 +101,15 @@ def test_rejected_input_exits_two(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLDS))
+def test_threshold_with_too_many_parameters_exits_two(name, capsys):
+    argv = ["bounds", "--threshold", name, *["3"] * (len(THRESHOLDS[name]) + 1)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: threshold {name!r} takes ") and err.count("\n") == 1
 
 
 def test_graph6_input(capsys):

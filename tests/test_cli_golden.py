@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from forbpairs.cli import EXAMPLES, main
+from forbpairs.ramsey import THRESHOLDS
 
 # each named threshold at its least parameter values
 LEAST_THRESHOLDS = {
@@ -69,6 +70,11 @@ GOLDEN = {
 
 def test_every_case_has_a_digest():
     assert set(CASES) == set(GOLDEN)
+
+
+def test_every_threshold_is_pinned_at_its_least_values():
+    least = {name: [str(v) for v in params.values()] for name, params in THRESHOLDS.items()}
+    assert least == LEAST_THRESHOLDS
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -196,7 +196,7 @@ def _reference_shapes(g, host_codes):
 
 
 def test_shapes_match_their_definition():
-    """Every graph on 1..7 vertices, in its canonical labelling and shuffled."""
+    """Every graph on 0..7 vertices, in its canonical labelling and shuffled."""
     from forbpairs import catalog
     from forbpairs.canon import canonical_code
     from forbpairs.harness import generate_upto
@@ -208,8 +208,8 @@ def test_shapes_match_their_definition():
         for name, host in ((_IN_P4, catalog.path(4)), (_IN_CO_K3_P4, catalog.co_k3_p4()))
     }
     rng = random.Random(11)
-    graphs = list(generate_upto(7))
-    assert len(graphs) == 1252
+    graphs = [catalog.empty_graph(0), *generate_upto(7)]
+    assert len(graphs) == 1253
     for g in graphs:
         perm = list(range(g.n))
         rng.shuffle(perm)

@@ -4,6 +4,7 @@ from forbpairs import catalog
 from forbpairs.graphs import independence_number, max_clique
 from forbpairs.induced import contains_induced, is_free
 from forbpairs.ramsey import (
+    THRESHOLDS,
     BoundValue,
     RamseyTable,
     load_overrides,
@@ -128,6 +129,15 @@ def test_threshold_values():
 
 
 def test_threshold_ranges():
+    """Every threshold accepts its least parameter values and refuses each
+    parameter one below its least value, or missing."""
+    assert len(THRESHOLDS) == 8
+    for name, least in THRESHOLDS.items():
+        assert threshold(name, **least).value >= 1
+        for p in least:
+            for below in ({**least, p: least[p] - 1}, {**least, p: None}):
+                with pytest.raises(ValueError, match=f"threshold {name!r}: .* required"):
+                    threshold(name, **below)
     for bad in [
         ("bipartite_kK1K2", dict(k=1)),
         ("omega_kK1K2_Z1", dict(k=2)),
