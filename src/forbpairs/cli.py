@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     expr = _shared("--expr", required=True)
     pair = _shared("--pair", nargs=2, required=True, metavar=("X", "Y"))
     class_prop = _shared("--class", dest="class_name", required=True,
-                      choices=sorted(NAMED_CLASSES))
+                         choices=sorted(NAMED_CLASSES))
     class_prop.add_argument("--property", dest="prop", required=True, choices=PROPERTIES)
     nmax = _shared("--nmax", type=int, default=9)
 
