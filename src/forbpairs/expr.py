@@ -52,6 +52,15 @@ class Complement:
 
 Node = Atom | Union | Multiple | Complement
 
+# the atoms named by a word, and their catalog builders
+_NAMED = {
+    "D": catalog.diamond,
+    "Z1": catalog.paw,
+    "Z2": catalog.hammer,
+    "chair": catalog.chair,
+    "gem": catalog.gem,
+}
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -163,12 +172,11 @@ class _Parser:
             self.check_order(at, n)
             return Atom("C", (n,))
         if word == "Z":
-            n = self.read_int()
-            if n not in (1, 2):
+            word += str(self.read_int())
+            if word not in _NAMED:
                 self.pos = at
                 raise self.error("only Z1 and Z2 are defined")
-            return Atom(f"Z{n}")
-        if word in ("D", "chair", "gem"):
+        if word in _NAMED:
             return Atom(word)
         self.pos = at
         raise self.error(f"unknown graph name {word!r}")
@@ -188,16 +196,8 @@ def eval_expr(node: Node) -> Graph:
             return catalog.path(node.params[0])
         if node.name == "C":
             return catalog.cycle(node.params[0])
-        if node.name == "D":
-            return catalog.diamond()
-        if node.name == "Z1":
-            return catalog.paw()
-        if node.name == "Z2":
-            return catalog.hammer()
-        if node.name == "chair":
-            return catalog.chair()
-        if node.name == "gem":
-            return catalog.gem()
+        if node.name in _NAMED:
+            return _NAMED[node.name]()
         raise ValueError(f"unknown atom {node.name!r}")
     if isinstance(node, Union):
         return disjoint_union(eval_expr(node.left), eval_expr(node.right))

@@ -67,50 +67,46 @@ more, so thread count never changes any output.  `generate_upto` yields
 orders 1..n_max in turn, and it checks the order limit and the thread
 count before generating anything.
 
-Generation keeps two bounded LRU caches, each keyed by what fixes its
-content.  Neither the invariant filter nor the orbit test depends on the
-pattern set, and neither does a child, which its parent and mask fix, nor
-the masks that complete one pattern, which its parent and the pattern
-fix.  So one record per parent, `_parent`, keyed by the parent, holds the
-candidate masks (the masks that pass both tests), the children that
-restricted classes have built so far, each with the automorphisms of its
-own search for its record as a parent, and, by pattern, the candidate
-masks that complete it, as the set bits of one int, bit i for `masks[i]`
-(one bit per candidate, not per possible mask), for every class that
-shares the parent.  `_children` runs the pair test only: it ORs the
-completing masks of the class's patterns and keeps the candidate masks
-whose bit is clear.  Unrestricted generation repeats no parent, so it
-builds its children without keeping them in the records.  The records
-are bounded, `PARENT_CACHE_SIZE`, because every class walked adds
-parents, each with its masks and children, which are evicted with it.
+One `Workbench`, `WORKBENCH`, holds the four caches that calls share,
+each a bounded LRU cache keyed by what fixes its content; README Notes
+give the replays of recorded keys that chose the sizes.  Tests install a
+fresh instance for empty caches; a pool worker uses its forked copy.
 
-The other cache, `_walk`, holds one walk per class: the levels built so
-far, from order 0 up.  Every caller reads a class as a walk over orders
-0..n, so `generate_graphs` only extends the walk to order n and returns
-level n as a new list, which the caller owns.  The key is the pattern
-list as given, as a tuple, or None for all graphs; an empty list
-restricts nothing and reads that walk too.  The thread count is not in
-the key, so it decides how a level is built, never whether it is built
-again.  The same patterns in another order or labelling make a walk of
-their own, with the same levels; no caller passes such lists, and a key
-up to isomorphism would cost a canonical form per pattern and call.  The
-walks are bounded, `WALK_CACHE_SIZE`, because each holds whole levels and
+`parent` holds one record per parent, keyed by the parent.  Neither the
+invariant filter nor the orbit test depends on the pattern set, and
+neither does a child, which its parent and mask fix, nor the masks that
+complete one pattern, which its parent and the pattern fix.  So a record
+holds the candidate masks (the masks that pass both tests), the children
+that restricted classes have built so far, each with the automorphisms
+of its own search for its record as a parent, and, by pattern, the
+candidate masks that complete it, as the set bits of one int, bit i for
+`masks[i]`, for every class that shares the parent.  `_children` runs
+the pair test only: it ORs the completing masks of the class's patterns
+and keeps the candidate masks whose bit is clear.  Unrestricted
+generation repeats no parent, so it keeps no child in the records.  The
+records are bounded, `PARENT_CACHE_SIZE`, because every class walked
+adds parents, each with its masks and children.
+
+`walk` holds one walk per class: the levels built so far, from order 0
+up.  Every caller reads a class as a walk over orders 0..n, so
+`generate_graphs` only extends the walk to order n and returns level n
+as a new list, which the caller owns.  The key is the pattern list as
+given, as a tuple, or None for all graphs; an empty list restricts
+nothing and reads that walk too.  The thread count is not in the key, so
+it decides how a level is built, never whether it is built again.  The
+same patterns in another order or labelling make a walk of their own,
+with the same levels; no caller passes such lists, and a key up to
+isomorphism would cost a canonical form per pattern and call.  The walks
+are bounded, `WALK_CACHE_SIZE`, because each holds whole levels and
 every new pattern list starts one.
 
-Verifies share a third bounded cache: the oracle verdicts, by labelled
-graph and property.  Every generated graph is canonically labelled, so a
-graph that many pairs and classes examine asks for its verdict once, and
-the certificate, a function of the labelled graph, is the same text.  A
-counterexample is re-validated by the uncached oracle, `_certificate`.
-A fourth bounded cache, `_in_class`, holds class membership by class and
-labelled graph, for the same reason: the pairs of a survey ask the same
-classes about the same small graphs.  A miss calls `cls.contains` at call
-time; a counterexample is re-validated by `cls.contains` itself.  Both
-are bounded, `VERDICT_CACHE_SIZE` and `CLASS_CACHE_SIZE`, because every
-graph that a verify examines adds a key.
-
-Each size comes from replaying recorded keys through LRU caches of
-several sizes; README Notes give the replays.
+`verdict` holds the oracle verdicts, by labelled graph and property, and
+`in_class` the class memberships, by class and labelled graph.  Generated
+graphs are canonically labelled, so a graph that many pairs and classes
+examine is checked once.  Both call the oracles and `cls.contains` at
+call time, and a counterexample is re-validated by `_certificate` and
+`cls.contains` themselves.  They are bounded, `VERDICT_CACHE_SIZE` and
+`CLASS_CACHE_SIZE`, because every graph that a verify examines adds a key.
 
 Report schema (machine-readable lines)::
 
@@ -279,18 +275,15 @@ class _Parent:
         return code, relabel(g, perm)
 
 
-# the parent records, by parent
-_parent = lru_cache(maxsize=PARENT_CACHE_SIZE)(_Parent)
-
-
 def _children(parents: Sequence[Graph], patterns: Sequence[Graph] | None):
     """Canonical (code, graph) pairs for the one-vertex extensions of the
     parents by their candidate masks that complete no pattern copy.  An
     unrestricted walk asks for no parent twice, so it keeps no child in
     the records."""
+    records = WORKBENCH.parent
     out: dict[bytes, Graph] = {}
     for parent in parents:
-        record = _parent(parent)
+        record = records(parent)
         build = record.child if patterns else record.extend
         blocked = 0
         for p in patterns or ():
@@ -324,7 +317,7 @@ def generate_graphs(
     """
     _check_args(n, patterns, threads)
     key = tuple(patterns) if patterns else None  # [] restricts nothing
-    walk = _walk(key)
+    walk = WORKBENCH.walk(key)
     build = partial(_children, patterns=key)
     while len(walk) <= n:
         parents = walk[-1]
@@ -352,8 +345,7 @@ def _mapper(workers: int):
             yield pool.imap_unordered
 
 
-@lru_cache(maxsize=WALK_CACHE_SIZE)
-def _walk(patterns: tuple[Graph, ...] | None) -> list[tuple[Graph, ...]]:
+def _start_walk(patterns: tuple[Graph, ...] | None) -> list[tuple[Graph, ...]]:
     """The levels of the class built so far, level n at walk[n].  A walk
     starts at level 0: the empty graph contains the order-0 pattern and no
     other.  Its only automorphism is the identity, recorded as none, so no
@@ -404,17 +396,21 @@ def _certificate(g: Graph, prop: str) -> str | None:
     raise ValueError(f"unknown property {prop!r}")
 
 
-# the verdicts of the graphs in use, by labelled graph and property (module
-# docstring); counterexamples are re-validated by `_certificate` itself
-_property_certificate = lru_cache(maxsize=VERDICT_CACHE_SIZE)(_certificate)
+def _member(cls: ClassSpec, g: Graph) -> bool:
+    return cls.contains(g)  # read at call time, so a wrapper on it is seen
 
 
-@lru_cache(maxsize=CLASS_CACHE_SIZE)
-def _in_class(cls: ClassSpec, g: Graph) -> bool:
-    """Class membership of the graphs in use, by class and labelled graph
-    (module docstring); counterexamples are re-validated by `cls.contains`
-    itself."""
-    return cls.contains(g)
+class Workbench:
+    """The caches of walks, parent records, verdicts and memberships."""
+
+    def __init__(self):
+        self.walk = lru_cache(maxsize=WALK_CACHE_SIZE)(_start_walk)
+        self.parent = lru_cache(maxsize=PARENT_CACHE_SIZE)(_Parent)
+        self.verdict = lru_cache(maxsize=VERDICT_CACHE_SIZE)(_certificate)
+        self.in_class = lru_cache(maxsize=CLASS_CACHE_SIZE)(_member)
+
+
+WORKBENCH = Workbench()
 
 
 @dataclass(frozen=True)
@@ -473,14 +469,15 @@ def verify_universal(
         examined=dict.fromkeys(range(1, n_max + 1), 0),
         passing=dict.fromkeys(range(1, n_max + 1), 0),
     )
+    in_class, verdict = WORKBENCH.in_class, WORKBENCH.verdict
     for g in generate_upto(n_max, patterns if restricted else None, threads):
         report.examined[g.n] += 1
-        if not _in_class(cls, g):
+        if not in_class(cls, g):
             continue
         if not restricted and not is_free(g, patterns):
             continue
         report.passing[g.n] += 1
-        cert = _property_certificate(g, prop)
+        cert = verdict(g, prop)
         if cert is not None:
             _revalidate(g, cls, patterns, prop)
             report.counterexamples.append(Counterexample(encode_graph6(g), g.n, cert))
@@ -508,8 +505,8 @@ def _contains_c5(g: Graph) -> bool:
 
 PREDICATES: dict[str, Callable[[Graph], bool]] = {
     "connected": is_connected,
-    "non-perfect": lambda g: _property_certificate(g, "perfect") is not None,
-    "not-omega-colourable": lambda g: _property_certificate(g, "omega") is not None,
+    "non-perfect": lambda g: WORKBENCH.verdict(g, "perfect") is not None,
+    "not-omega-colourable": lambda g: WORKBENCH.verdict(g, "omega") is not None,
     "not-odd-cycle": lambda g: not (g.n % 2 == 1 and is_cycle(g)),
     "alpha>=3": lambda g: has_independent_set(g, 3),
     "alpha=3": lambda g: has_independent_set(g, 3) and not has_independent_set(g, 4),

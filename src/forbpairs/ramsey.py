@@ -219,12 +219,15 @@ THRESHOLDS = {
 
 def threshold(name: str, k: int | None = None, l: int | None = None,
               table: RamseyTable | None = None) -> BoundValue:
-    """Evaluate one of the named thresholds of `THRESHOLDS`, each of the
-    parameters it takes at least its least value."""
+    """Evaluate one of the named thresholds of `THRESHOLDS`, given only the
+    parameters it takes, each at least its least value."""
     if name not in THRESHOLDS:
         raise ValueError(f"unknown threshold {name!r}")
     given = {"k": k, "l": l}
     least = THRESHOLDS[name]
+    extra = [p for p, v in given.items() if v is not None and p not in least]
+    if extra:
+        raise ValueError(f"threshold {name!r} takes no parameter {', '.join(extra)}")
     if any(given[p] is None or given[p] < v for p, v in least.items()):
         need = ", ".join(f"{p} >= {v}" for p, v in least.items())
         raise ValueError(f"threshold {name!r}: {need} required")

@@ -10,6 +10,7 @@ loudly rather than papered over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from . import catalog
@@ -153,8 +154,6 @@ def blowup_classify(g: Graph) -> BlowupDecomposition:
 
 
 def _least_c5(g: Graph) -> tuple[int, ...] | None:
-    from itertools import combinations
-
     if not contains_induced(g, catalog.cycle(5)):
         return None
     for sub in combinations(range(g.n), 5):

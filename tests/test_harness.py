@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from forbpairs import catalog
+from forbpairs import catalog, harness
 from forbpairs.canon import automorphism_generators, canonical_code, canonical_graph
 from forbpairs.expr import graph_from_expr as G
 from forbpairs.graph6 import decode_graph6
@@ -34,6 +34,14 @@ PATTERN_PAIRS = [
 ]
 
 
+@pytest.fixture
+def workbench(monkeypatch):
+    """A fresh `harness.Workbench` in place of the default one: the test
+    starts with empty caches and leaves the default instance as it was."""
+    monkeypatch.setattr(harness, "WORKBENCH", harness.Workbench())
+    return harness.WORKBENCH
+
+
 def test_counts_match_known_sequence():
     for n in range(1, 9):
         assert len(generate_graphs(n)) == KNOWN_COUNTS[n]
@@ -45,15 +53,12 @@ def test_counts_match_known_sequence():
 LEVELS_SHA256 = "b1bc89ba12d7ea34ac758a4bf0edc540d3df591539f747cec2257bbf848da991"
 
 
-def test_levels_match_golden(monkeypatch):
+def test_levels_match_golden(monkeypatch, workbench):
     """Every level up to order 8, of all graphs and of the nine classes,
-    has the pinned rows; the class {K1,3, Z2} is built first, from an empty
-    walk cache, with two worker processes (its levels 6 and 7 reach the
+    has the pinned rows; the class {K1,3, Z2} is built first, from empty
+    caches, with two worker processes (its levels 6 and 7 reach the
     pool)."""
-    from forbpairs import harness
-
     monkeypatch.setattr(harness, "_cpus", lambda: 2)
-    harness._walk.cache_clear()
     generate_graphs(8, [G("K1,3"), G("Z2")], threads=2)
     walks = [
         [[g.rows for g in generate_graphs(n, pats)] for n in range(9)]
@@ -159,12 +164,12 @@ def test_candidate_masks_match_their_definition_seven():
     _check_candidate_masks(7, lambda g: _generated_group(7, automorphism_generators(g)))
 
 
-def test_parents_are_not_searched_again(monkeypatch):
+def test_parents_are_not_searched_again(monkeypatch, workbench):
     """With every cache empty, a walk of all graphs to order 7 runs one
     canonical search per child built and none while a parent record is
     built: each parent carries the automorphisms that its search as a
     child recorded.  The walk keeps no child in the records."""
-    from forbpairs import canon, harness
+    from forbpairs import canon
 
     search, init, form = canon._canon, harness._Parent.__init__, harness.canonical_form
     building, records, calls = [], [], []  # calls: True when inside a record
@@ -189,8 +194,6 @@ def test_parents_are_not_searched_again(monkeypatch):
     monkeypatch.setattr(canon, "_canon", counted)
     monkeypatch.setattr(harness, "canonical_form", child_form)
     monkeypatch.setattr(harness._Parent, "__init__", record)
-    for cache in (harness._walk, harness._parent):
-        cache.cache_clear()
     assert len(generate_graphs(7)) == KNOWN_COUNTS[7]
     assert len(records) == sum(KNOWN_COUNTS[:7])
     assert len(calls) == len(built) > 0
@@ -298,8 +301,6 @@ def test_restricted_equals_filtered():
 def test_generator_limits(monkeypatch):
     """An empty pattern list restricts nothing: it gets the limit of all
     graphs and reads the walk of all graphs."""
-    from forbpairs import harness
-
     for pats in (None, []):
         with pytest.raises(ValueError, match="all graphs covers orders 0..10"):
             generate_graphs(11, pats)
@@ -315,15 +316,13 @@ def test_generator_limits(monkeypatch):
     assert len(everything) == KNOWN_COUNTS[5]
 
 
-def test_limits_checked_before_generating(monkeypatch):
+def test_limits_checked_before_generating(monkeypatch, workbench):
     """An order beyond the limit, or a thread count below 1, fails before
     any level is built."""
-    from forbpairs import harness
 
     def no_levels(*args, **kwargs):
         raise AssertionError("a level was built")
 
-    harness._walk.cache_clear()
     monkeypatch.setattr(harness, "_children", no_levels)
     pair = PairSpec(G("K1,3"), G("P5"))
     with pytest.raises(ValueError, match="free class"):
@@ -382,26 +381,21 @@ def test_verify_full_matches_restricted():
     assert a.verdict == b.verdict == "violated"
 
 
-def test_parallel_equals_sequential(monkeypatch):
+def test_parallel_equals_sequential(monkeypatch, workbench):
     # levels 6 and 7 hold 74 and 217 graphs, at least the 64 parents that
     # send a level to the pool
-    from forbpairs import harness
-
     monkeypatch.setattr(harness, "_cpus", lambda: 2)
     pats = [G("K1,3"), G("P5")]
-    harness._walk.cache_clear()
     seq = generate_graphs(8, pats, threads=1)
-    harness._walk.cache_clear()
+    workbench.walk.cache_clear()
     par = generate_graphs(8, pats, threads=2)
     assert [g.rows for g in seq] == [g.rows for g in par]
 
 
-def test_thread_count_builds_no_level_again(monkeypatch):
+def test_thread_count_builds_no_level_again(monkeypatch, workbench):
     """A walk at threads=2 after the same walk at threads=1 reads every
     level from the cache: it builds none and starts no pool."""
     import multiprocessing
-
-    from forbpairs import harness
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
@@ -411,19 +405,16 @@ def test_thread_count_builds_no_level_again(monkeypatch):
 
     monkeypatch.setattr(harness, "_cpus", lambda: 2)
     pats = [G("K1,3"), G("P5")]
-    harness._walk.cache_clear()
     seq = [generate_graphs(n, pats) for n in range(9)]
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     monkeypatch.setattr(harness, "_children", no_levels)
     assert [generate_graphs(n, pats, threads=2) for n in range(9)] == seq
 
 
-def test_pool_never_exceeds_the_cpus(monkeypatch):
+def test_pool_never_exceeds_the_cpus(monkeypatch, workbench):
     """A thread count above the CPUs the process may use starts one worker
     per CPU, and the level is the same for every count."""
     import multiprocessing
-
-    from forbpairs import harness
 
     started = []
 
@@ -449,7 +440,7 @@ def test_pool_never_exceeds_the_cpus(monkeypatch):
     for cpus, threads, workers in [(3, 1000, 3), (3, 2, 2), (1, 8, None)]:
         monkeypatch.setattr(harness, "_cpus", lambda: cpus)
         started.clear()
-        harness._walk.cache_clear()
+        workbench.walk.cache_clear()
         assert generate_graphs(8, pats, threads=threads) == expected
         # levels 6 and 7 reach the pool, one start each
         assert started == ([] if workers is None else [workers] * 2)
@@ -484,44 +475,37 @@ def test_isomorphic_pattern_lists_share_a_level():
                 assert generate_graphs(n, same) == generate_graphs(n, pats), (pair, n)
 
 
-def test_level_cache_is_bounded():
+def test_level_cache_is_bounded(workbench):
     """The walk cache holds at most `WALK_CACHE_SIZE` classes."""
-    from forbpairs import harness
-
     bound = harness.WALK_CACHE_SIZE
-    assert harness._walk.cache_info().maxsize == bound
+    assert workbench.walk.cache_info().maxsize == bound
     small = [g for n in range(1, 6) for g in generate_graphs(n)]
     assert len(small) > bound  # 52 classes
     first = generate_graphs(4, [small[-1]])
     for p in small:
         generate_graphs(4, [p])
-        assert harness._walk.cache_info().currsize <= bound
-    assert harness._walk.cache_info().currsize == bound
+        assert workbench.walk.cache_info().currsize <= bound
+    assert workbench.walk.cache_info().currsize == bound
     assert generate_graphs(4, [small[-1]]) == first
 
 
-def test_child_caches_are_bounded():
-    from forbpairs import harness
-
+def test_child_caches_are_bounded(workbench):
     bound = harness.PARENT_CACHE_SIZE
-    harness._walk.cache_clear()
-    assert harness._parent.cache_info().maxsize == bound
-    harness._parent.cache_clear()
+    assert workbench.parent.cache_info().maxsize == bound
     for n in range(1, 9):
         generate_graphs(n)
-        assert harness._parent.cache_info().currsize <= bound
+        assert workbench.parent.cache_info().currsize <= bound
     # order 8 alone reads more parents than the bound holds
-    assert harness._parent.cache_info().currsize == bound
+    assert workbench.parent.cache_info().currsize == bound
 
 
-def test_levels_do_not_depend_on_cache_state():
+def test_levels_do_not_depend_on_cache_state(workbench):
     """The nine classes' levels up to 7 are the same built with every cache
     empty as built from parent records (symmetries and children) cached,
     and partly evicted, by the classes in reverse order."""
-    from forbpairs import harness
 
     def clear():
-        for cache in (harness._walk, harness._parent):
+        for cache in (workbench.walk, workbench.parent):
             cache.cache_clear()
 
     classes = [[G(s) for s in pair] for pair in PATTERN_PAIRS]
@@ -533,45 +517,40 @@ def test_levels_do_not_depend_on_cache_state():
     for pats in reversed(classes):
         for n in range(1, 8):
             generate_graphs(n, pats)
-    harness._walk.cache_clear()
+    workbench.walk.cache_clear()
     warm = [[generate_graphs(n, pats) for n in range(1, 8)] for pats in classes]
     assert warm == cold
 
 
-def test_revalidation_ignores_the_verdict_cache(monkeypatch):
+def test_revalidation_ignores_the_verdict_cache(monkeypatch, workbench):
     """A cached certificate for a perfect graph is caught: re-validation
-    asks the uncached oracle, so the verify fails instead of reporting it."""
+    asks the uncached oracle, so the verify fails instead of reporting it.
+    The default workbench never sees the poisoned verdict."""
     from types import SimpleNamespace
-
-    from forbpairs import harness
 
     pair = PairSpec(G("3K1"), G("K4"))
     c4 = canonical_graph(G("C4"))  # as generated
     assert c4 in generate_graphs(4, [pair.x, pair.y])
     assert harness._certificate(c4, "perfect") is None
     fake = SimpleNamespace(perfect=False, describe=lambda: "poisoned")
-    harness._property_certificate.cache_clear()
-    try:
-        monkeypatch.setattr(harness, "is_perfect_spgt", lambda g: fake)
-        assert harness._property_certificate(c4, "perfect") == "poisoned"
-        monkeypatch.undo()
-        assert harness._property_certificate(c4, "perfect") == "poisoned"
-        with pytest.raises(AssertionError, match="satisfies the property on re-check"):
-            verify_universal(pair, NAMED_CLASSES["G"], "perfect", 4)
-    finally:
-        harness._property_certificate.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "is_perfect_spgt", lambda g: fake)
+        assert workbench.verdict(c4, "perfect") == "poisoned"
+    assert workbench.verdict(c4, "perfect") == "poisoned"
+    with pytest.raises(AssertionError, match="satisfies the property on re-check"):
+        verify_universal(pair, NAMED_CLASSES["G"], "perfect", 4)
+    monkeypatch.undo()
+    assert harness.WORKBENCH is not workbench
+    assert harness.WORKBENCH.verdict(c4, "perfect") is None
+    assert verify_universal(pair, NAMED_CLASSES["G"], "perfect", 4).verdict == "all_hold"
 
 
-def test_reports_do_not_depend_on_the_verdict_cache():
+def test_reports_do_not_depend_on_the_verdict_cache(workbench):
     """The nine classes' verifies in Gc and Galpha at n <= 6 give the same
     text with every cache empty as with the levels built again and the
     verdicts of earlier verifies cached, and the second such pass computes
     no verdict."""
-    from forbpairs import harness
-
-    caches = (
-        harness._walk, harness._parent, harness._property_certificate, harness._in_class
-    )
+    caches = (workbench.walk, workbench.parent, workbench.verdict, workbench.in_class)
     runs = [
         (PairSpec(G(x), G(y)), cls, prop)
         for x, y in PATTERN_PAIRS for cls in ("Gc", "Galpha") for prop in ("perfect", "omega")
@@ -588,37 +567,30 @@ def test_reports_do_not_depend_on_the_verdict_cache():
     for _ in range(2):  # the second pass finds every verdict cached
         for cache in caches[:2]:
             cache.cache_clear()
-        misses = harness._property_certificate.cache_info().misses
+        misses = workbench.verdict.cache_info().misses
         assert [text(*run) for run in runs] == cold
-    assert harness._property_certificate.cache_info().misses == misses
+    assert workbench.verdict.cache_info().misses == misses
 
 
-def test_verdict_cache_is_bounded():
+def test_verdict_cache_is_bounded(workbench):
     """The verdict cache holds at most `VERDICT_CACHE_SIZE` verdicts."""
-    from forbpairs import harness
-
     bound = harness.VERDICT_CACHE_SIZE
-    cache = harness._property_certificate
+    cache = workbench.verdict
     assert cache.cache_info().maxsize == bound
-    cache.cache_clear()
     graphs = [g for n in range(1, 8) for g in generate_graphs(n)]
     assert len(graphs) > bound
     for g in graphs:
         assert cache(g, "omega") == harness._certificate(g, "omega")
         assert cache.cache_info().currsize <= bound
     assert cache.cache_info().currsize == bound
-    cache.cache_clear()
 
 
-def test_class_cache_is_bounded():
+def test_class_cache_is_bounded(workbench):
     """The class-membership cache holds at most `CLASS_CACHE_SIZE` entries
     and gives what `ClassSpec.contains` gives."""
-    from forbpairs import harness
-
     bound = harness.CLASS_CACHE_SIZE
-    cache = harness._in_class
+    cache = workbench.in_class
     assert cache.cache_info().maxsize == bound
-    cache.cache_clear()
     graphs = [g for n in range(1, 8) for g in generate_graphs(n)]
     classes = list(NAMED_CLASSES.values())
     assert len(graphs) * len(classes) > bound
@@ -627,30 +599,24 @@ def test_class_cache_is_bounded():
             assert cache(cls, g) == cls.contains(g)
             assert cache.cache_info().currsize <= bound
     assert cache.cache_info().currsize == bound
-    cache.cache_clear()
 
 
-def test_revalidation_ignores_the_class_cache(monkeypatch):
+def test_revalidation_ignores_the_class_cache(monkeypatch, workbench):
     """A cached membership of a disconnected graph in Gc is caught:
     re-validation asks `ClassSpec.contains` itself, so the verify fails
     instead of reporting the graph."""
-    from forbpairs import harness
     from forbpairs.pairs import ClassSpec
 
     pair, gc = PairSpec(G("K3"), G("4K1")), NAMED_CLASSES["Gc"]
     c5k1 = canonical_graph(G("C5+K1"))  # as generated, and imperfect
     assert c5k1 in generate_graphs(6, [pair.x, pair.y])
     assert not gc.contains(c5k1)
-    harness._in_class.cache_clear()
-    try:
-        monkeypatch.setattr(ClassSpec, "contains", lambda self, g: True)
-        assert harness._in_class(gc, c5k1)
-        monkeypatch.undo()
-        assert harness._in_class(gc, c5k1)
-        with pytest.raises(AssertionError, match="failed re-validation"):
-            verify_universal(pair, gc, "perfect", 6)
-    finally:
-        harness._in_class.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(ClassSpec, "contains", lambda self, g: True)
+        assert workbench.in_class(gc, c5k1)
+    assert workbench.in_class(gc, c5k1)
+    with pytest.raises(AssertionError, match="failed re-validation"):
+        verify_universal(pair, gc, "perfect", 6)
 
 
 def test_hunt_smallest_witnesses():

@@ -130,7 +130,8 @@ def test_threshold_values():
 
 def test_threshold_ranges():
     """Every threshold accepts its least parameter values and refuses each
-    parameter one below its least value, or missing."""
+    parameter one below its least value, or missing, and each parameter it
+    does not take."""
     assert len(THRESHOLDS) == 8
     for name, least in THRESHOLDS.items():
         assert threshold(name, **least).value >= 1
@@ -138,6 +139,9 @@ def test_threshold_ranges():
             for below in ({**least, p: least[p] - 1}, {**least, p: None}):
                 with pytest.raises(ValueError, match=f"threshold {name!r}: .* required"):
                     threshold(name, **below)
+        for p in {"k", "l"} - set(least):
+            with pytest.raises(ValueError, match=f"threshold {name!r} takes no parameter {p}"):
+                threshold(name, **least, **{p: 99})
     with pytest.raises(ValueError, match="unknown threshold"):
         threshold("nonsense", k=3)
 
