@@ -1,16 +1,23 @@
 """Labelled simple graphs on at most 64 vertices, stored as row bitmasks.
 
 A vertex is an index in ``range(n)``; ``rows[v]`` is the neighbourhood of
-``v`` as a bit mask.  All operations are pure functions on immutable
-values, so graphs can be shared freely between threads and processes.
-The one slot written after construction is ``Graph.auts``: automorphisms
-that the canonical search which labelled a graph found on the way, kept
-so that no second search asks for them.  Equality ignores it.
+``v`` as a bit mask.  A graph's rows never change.  The slots written
+after construction hold what searches learnt about the graph, so that no
+second search asks for it: ``Graph.auts``, the automorphisms that the
+canonical search which labelled the graph found on the way, and
+``omega``, ``chi`` and ``perfect``, the values of ``max_clique``,
+``chromatic_number`` and ``perfection.is_perfect_spgt``'s verdict.  The
+oracles return a slot that is set and fill it when they search, and
+generation sets a child's slots from its parent's
+(``harness._Parent.extend``).  Each is fixed by the labelled graph, so
+any two writers write the same value, and graphs can be shared freely
+between threads, processes, walks and caches; equality ignores the
+slots.
 
 ``bits`` is the one way to list the set bits of a mask: it reads them
 from precomputed tables, one per byte of a 64-bit mask, so it costs one
 lookup per byte up to the highest set bit, less than a lowest-bit loop
-on masks of 8 to 60 bits.  Only ``max_clique`` pops the lowest bit
+on masks of 8 to 60 bits.  Only ``clique_number`` pops the lowest bit
 itself, because it stops as soon as the number of bits left bounds the
 search.
 """
@@ -57,15 +64,21 @@ class Graph:
     ``canon.canonical_form`` keeps its search's automorphisms here,
     ``relabel`` carries them over to the copy, and
     ``canon.automorphism_generators`` reads them instead of searching
-    again.  Equality and hashing ignore them, and pickling keeps them.
+    again.  ``omega``, ``chi`` and ``perfect`` are None until known: the
+    clique number, the chromatic number, and whether the graph is
+    perfect.  Equality and hashing ignore all four, and ``relabel`` and
+    pickling keep them.
     """
 
-    __slots__ = ("n", "rows", "auts")
+    __slots__ = ("n", "rows", "auts", "omega", "chi", "perfect")
 
     def __init__(self, n: int, rows: Sequence[int], auts: bytes | None = None):
         self.n = n
         self.rows = tuple(rows)
         self.auts = auts
+        self.omega: int | None = None
+        self.chi: int | None = None
+        self.perfect: bool | None = None
 
     def adj(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -161,7 +174,8 @@ def induced_on_mask(g: Graph, mask: int) -> Graph:
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel so that new vertex i is old vertex perm[i].  Automorphisms
-    kept on g are conjugated onto the copy: i goes to inv[gamma[perm[i]]]."""
+    kept on g are conjugated onto the copy: i goes to inv[gamma[perm[i]]];
+    the oracle slots, which labels do not change, are copied."""
     inv = [0] * g.n
     for i, v in enumerate(perm):
         inv[v] = i
@@ -174,7 +188,9 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
         auts = bytes(
             auts[j + v] for j in range(0, len(auts), g.n) for v in perm
         ).translate(bytes(inv).ljust(256, b"\0"))
-    return Graph(g.n, rows, auts)
+    out = Graph(g.n, rows, auts)
+    out.omega, out.chi, out.perfect = g.omega, g.chi, g.perfect
+    return out
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -269,13 +285,11 @@ def shape_report(g: Graph) -> ShapeReport:
     )
 
 
-def max_clique(g: Graph) -> int:
-    """Clique number by branch and bound over candidate masks."""
-    if g.n == 0:
-        return 0
-    rows = g.rows
-    order = sorted(range(g.n), key=g.degree, reverse=True)
-    best = 1
+def clique_number(rows: Sequence[int], cand: int) -> int:
+    """Size of a largest clique among the vertices of cand, by branch and
+    bound over candidate masks: `max_clique` on the whole graph, and
+    generation on the neighbourhood of a new vertex."""
+    best = 0
 
     def expand(cand: int, size: int):
         nonlocal best
@@ -290,15 +304,20 @@ def max_clique(g: Graph) -> int:
                 expand(cand & rows[v], size + 1)
 
     # seed with a degree-greedy clique for a better initial bound
-    greedy = 0
-    cand = (1 << g.n) - 1
-    for v in order:
-        if cand >> v & 1:
-            greedy += 1
-            cand &= rows[v]
-    best = max(1, greedy)
-    expand((1 << g.n) - 1, 0)
+    left = cand
+    for v in sorted(bits(cand), key=lambda v: (rows[v] & cand).bit_count(), reverse=True):
+        if left >> v & 1:
+            best += 1
+            left &= rows[v]
+    expand(cand, 0)
     return best
+
+
+def max_clique(g: Graph) -> int:
+    """Clique number, kept on g as ``g.omega``."""
+    if g.omega is None:
+        g.omega = clique_number(g.rows, (1 << g.n) - 1)
+    return g.omega
 
 
 def max_clique_set(g: Graph) -> int:
@@ -344,21 +363,25 @@ def has_independent_set(g: Graph, k: int) -> bool:
     return independence_number(g) >= k
 
 
-def chromatic_number(g: Graph, *, omega: int | None = None) -> int:
-    """Exact chromatic number by branch and bound over colour-class masks.
+def chromatic_number(g: Graph) -> int:
+    """Exact chromatic number by branch and bound over colour-class masks,
+    kept on g as ``g.chi``.
 
     Vertices are taken by decreasing degree; each goes into every class
     that holds none of its neighbours, or into a new class.  A partial
     colouring with as many classes as the best one found is cut off; the
     first descent is greedy, and the search stops at the clique number.
-    A caller that holds the clique number passes it as omega, and it is
-    not computed again.
+    A graph known to be perfect (``g.perfect``) is not searched: its
+    chromatic number is its clique number.
     """
+    if g.chi is not None:
+        return g.chi
+    if g.perfect:
+        g.chi = max_clique(g)
+        return g.chi
     n = g.n
-    if n == 0:
-        return 0
     rows = g.rows
-    lower = max_clique(g) if omega is None else omega
+    lower = max_clique(g)
     order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
     cls: list[int] = []  # cls[c]: the vertices of colour c, as a bit mask
     best = n + 1
@@ -385,11 +408,11 @@ def chromatic_number(g: Graph, *, omega: int | None = None) -> int:
         cls.pop()
 
     bb(0)
+    g.chi = best
     return best
 
 
 def invariants(g: Graph) -> Invariants:
-    om = max_clique(g)
     return Invariants(
-        alpha=independence_number(g), omega=om, chi=chromatic_number(g, omega=om)
+        alpha=independence_number(g), omega=max_clique(g), chi=chromatic_number(g)
     )

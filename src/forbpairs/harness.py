@@ -60,12 +60,37 @@ no search: a parent that generation built carries the automorphisms its
 canonical search recorded when it was built as a child (`Graph.auts`),
 conjugated onto its canonical labelling.
 
+A child inherits what its parent's oracle slots settle, and only what
+the parent already holds when the child is built: a walk that no oracle
+is asked about carries nothing and does no extra work.  Take a parent P
+and the child G = P + m, with m's neighbourhood mask.
+- omega(G) = max(omega(P), 1 + omega(P[mask])), one clique search on the
+  mask (`graphs.clique_number`), set when omega(P) is known.
+- chi(P) <= chi(G) <= chi(P) + 1, and chi(G) >= omega(G).  So when
+  omega(G) > chi(P), chi(G) = omega(G) with no colouring, set when chi(P)
+  is known.
+- Perfectness is hereditary, and a perfect P has a perfect child exactly
+  when neither G nor its complement has an odd hole through m
+  (`perfection.odd_hole_through`).  Only that verdict is carried: an
+  imperfect child is searched in full, on its canonical labelling, for
+  its certificate.  A graph known to be perfect is not coloured either,
+  since its chromatic number is its clique number.
+All three are properties of the graph, so carried values equal the
+oracles' exactly, and reports do not change.  `_revalidate` checks a
+counterexample on a fresh copy, which holds none of them.  A verify or
+census asks the oracles level by level, since `generate_upto` builds a
+level only once the last one has been read, so the children of the
+graphs it asked about inherit.
+
 One loop builds each level as the merge of `_children` over chunks of
 the parents: the chunks are mapped in this process for one worker, and
 in a process pool of at most one worker per CPU the process may use for
-more, so thread count never changes any output.  `generate_upto` yields
-orders 1..n_max in turn, and it checks the order limit and the thread
-count before generating anything.
+more, with the parents pickled with their slots.  The parts merge in
+chunk order, so the kept copy of a class, and what it inherited, come
+from the last parent that built it for every worker count, and thread
+count never changes any output.  `generate_upto` yields orders 1..n_max
+in turn, and it checks the order limit and the thread count before
+generating anything.
 
 One `Workbench`, `WORKBENCH`, holds the four caches that calls share,
 each a bounded LRU cache keyed by what fixes its content; README Notes
@@ -128,6 +153,8 @@ from .graphs import (
     Graph,
     bits,
     chromatic_number,
+    clique_number,
+    complement,
     has_independent_set,
     is_connected,
     is_cycle,
@@ -138,7 +165,7 @@ from .graphs import (
 from .graph6 import encode_graph6
 from .induced import completing_masks, contains_induced, is_free
 from .pairs import ClassSpec, PairSpec
-from .perfection import is_perfect_spgt
+from .perfection import is_perfect_spgt, odd_hole_through
 from .twins import twin_collapse
 
 GENERATOR_LIMIT = 10
@@ -265,12 +292,22 @@ class _Parent:
 
     def extend(self, mask: int) -> tuple[bytes, Graph]:
         """Canonical code and canonically labelled copy of the parent plus
-        one vertex whose neighbourhood is mask."""
+        one vertex whose neighbourhood is mask, holding what the parent's
+        oracle slots settle (module docstring)."""
         parent = self.graph
-        new_bit = 1 << parent.n
+        m = parent.n
+        new_bit = 1 << m
         rows = [r | new_bit if mask >> v & 1 else r for v, r in enumerate(parent.rows)]
         rows.append(mask)
-        g = Graph(parent.n + 1, rows)
+        g = Graph(m + 1, rows)
+        if parent.omega is not None:
+            g.omega = max(parent.omega, 1 + clique_number(parent.rows, mask))
+            if parent.chi is not None and g.omega > parent.chi:
+                g.chi = g.omega
+        if parent.perfect and not (
+            odd_hole_through(g, m) or odd_hole_through(complement(g), m)
+        ):
+            g.perfect = True
         code, perm = canonical_form(g)
         return code, relabel(g, perm)
 
@@ -324,8 +361,9 @@ def generate_graphs(
         workers = min(threads, _cpus()) if len(parents) >= 64 else 1
         out: dict[bytes, Graph] = {}
         with _mapper(workers) as imap:
-            # equal canonical codes carry identical canonical graphs, so the
-            # parts merge in any order
+            # equal canonical codes carry identical canonical graphs; the
+            # parts merge in order, so that what a kept graph inherited does
+            # not depend on the workers
             for part in imap(build, _split(parents, workers * 4)):
                 out.update(part)
         walk.append(tuple(out[c] for c in sorted(out)))
@@ -334,15 +372,15 @@ def generate_graphs(
 
 @contextmanager
 def _mapper(workers: int):
-    """An unordered map over `workers` processes: the builtin map in this
-    process for one, else a process pool's imap_unordered."""
+    """An ordered map over `workers` processes: the builtin map in this
+    process for one, else a process pool's imap."""
     if workers == 1:
         yield map
     else:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            yield pool.imap_unordered
+            yield pool.imap
 
 
 def _start_walk(patterns: tuple[Graph, ...] | None) -> list[tuple[Graph, ...]]:
@@ -389,7 +427,7 @@ def _certificate(g: Graph, prop: str) -> str | None:
         return cert.describe()
     if prop == "omega":
         omega = max_clique(g)
-        chi = chromatic_number(g, omega=omega)
+        chi = chromatic_number(g)
         if chi == omega:
             return None
         return f"not omega-colourable; chi={chi} > omega={omega}"
@@ -487,6 +525,9 @@ def verify_universal(
 
 
 def _revalidate(g: Graph, cls: ClassSpec, patterns, prop: str):
+    """Check a counterexample again on a copy that holds no oracle slot,
+    so that no cached or carried value is read."""
+    g = Graph(g.n, g.rows)
     if not cls.contains(g) or not is_free(g, patterns):
         raise AssertionError("counterexample failed re-validation")
     if _certificate(g, prop) is None:

@@ -19,11 +19,24 @@ chord; a path of even length >= 4 closes on its least closer after the
 extenders below it, as in ascending order; and a path is not extended
 once every closing vertex is adjacent to one of its vertices after s,
 since those all become interior vertices of an extension.
+
+`odd_hole_through` runs the same search from one given vertex m, for
+generation: a graph G whose parent G - m is perfect is perfect exactly
+when neither G nor its complement has an odd hole through m, since every
+odd hole or antihole that avoids m lies in G - m (by the strong perfect
+graph theorem, Chudnovsky, Robertson, Seymour and Thomas, Annals of Math.
+164, 2006).  `is_perfect_spgt` keeps its verdict on the graph
+(`Graph.perfect`), and generation sets it on a child that this anchored
+search shows perfect.  Certificates keep their bytes: a perfect graph's
+certificate is the constant "perfect", however it is known, and an
+imperfect graph is never marked by its parent, so its witness always
+comes from the full search on that graph and its labelling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graphs import (
     Graph,
@@ -59,8 +72,7 @@ class PerfectnessCertificate:
             return _is_chordless_odd_cycle(side, self.vertices)
         if self.kind == "chi_gt_omega":
             sub = induced_on_mask(g, sum(1 << v for v in self.vertices))
-            omega = max_clique(sub)
-            return chromatic_number(sub, omega=omega) > omega
+            return chromatic_number(sub) > max_clique(sub)
         return False
 
     def describe(self) -> str:
@@ -74,6 +86,9 @@ class PerfectnessCertificate:
             f"imperfect; chi={self.chi} > omega={self.omega} on vertices "
             + " ".join(map(str, self.vertices))
         )
+
+
+PERFECT = PerfectnessCertificate("perfect")
 
 
 def _is_chordless_odd_cycle(g: Graph, vertices: tuple[int, ...]) -> bool:
@@ -120,7 +135,28 @@ def odd_hole(g: Graph) -> tuple[int, ...] | None:
     """
     if g.n > _HOLE_LIMIT:
         raise ValueError(f"odd hole search is limited to {_HOLE_LIMIT} vertices")
-    rows = g.rows
+    return _first_hole(g.rows, range(g.n - 4), -1)
+
+
+def odd_hole_through(g: Graph, m: int) -> tuple[int, ...] | None:
+    """An odd hole of g through vertex m, in cycle order from m, or None.
+
+    It is `odd_hole`'s search from the one start vertex m, with no vertex
+    below m excluded: a hole through m is a hole with least vertex m once
+    m is moved to the front of the labelling, the other vertices keeping
+    their order, and that is the labelling the cuts then read.
+    """
+    if g.n > _HOLE_LIMIT:
+        raise ValueError(f"odd hole search is limited to {_HOLE_LIMIT} vertices")
+    return _first_hole(g.rows, (m,), 0)
+
+
+def _first_hole(
+    rows: tuple[int, ...], starts: Sequence[int], below: int
+) -> tuple[int, ...] | None:
+    """The first hole of `odd_hole`'s search from each start s in turn,
+    over the vertices other than s and the vertices of below under s: all
+    of those for `odd_hole` (below is -1), none for `odd_hole_through`."""
     path: list[int] = []
 
     def extend(banned: int) -> tuple[int, ...] | None:
@@ -142,9 +178,9 @@ def odd_hole(g: Graph) -> tuple[int, ...] | None:
                     return found
         return tuple(path) + (c,) if close else None
 
-    for s in range(g.n - 4):
-        low = (2 << s) - 1
-        hood = rows[s] & ~low  # the neighbours of s above s
+    for s in starts:
+        low = (1 << s) - 1 & below | 1 << s
+        hood = rows[s] & ~low  # the neighbours of s outside low
         if hood.bit_count() < 2:
             continue
         for v in bits(hood):
@@ -159,14 +195,19 @@ def odd_hole(g: Graph) -> tuple[int, ...] | None:
 
 
 def is_perfect_spgt(g: Graph) -> PerfectnessCertificate:
-    """Perfectness by odd-hole search in the graph and its complement."""
+    """Perfectness by odd-hole search in the graph and its complement.  The
+    verdict is kept on g as ``g.perfect``; a graph known to be perfect is
+    not searched, and an imperfect one is searched again for its witness."""
+    if g.perfect:
+        return PERFECT
+    cert = PERFECT
     hole = odd_hole(g)
     if hole is not None:
-        return PerfectnessCertificate("imperfect", "odd_hole", hole)
-    anti = odd_hole(complement(g))
-    if anti is not None:
-        return PerfectnessCertificate("imperfect", "odd_antihole", anti)
-    return PerfectnessCertificate("perfect")
+        cert = PerfectnessCertificate("imperfect", "odd_hole", hole)
+    elif (anti := odd_hole(complement(g))) is not None:
+        cert = PerfectnessCertificate("imperfect", "odd_antihole", anti)
+    g.perfect = cert.perfect
+    return cert
 
 
 def is_perfect_definition(g: Graph) -> PerfectnessCertificate:
@@ -186,7 +227,7 @@ def is_perfect_definition(g: Graph) -> PerfectnessCertificate:
             continue
         sub = induced_on_mask(g, mask)
         omega = max_clique(sub)
-        chi = chromatic_number(sub, omega=omega)
+        chi = chromatic_number(sub)
         if chi > omega:
             return PerfectnessCertificate(
                 "imperfect", "chi_gt_omega", bits(mask), chi=chi, omega=omega
@@ -195,5 +236,4 @@ def is_perfect_definition(g: Graph) -> PerfectnessCertificate:
 
 
 def is_omega_colourable(g: Graph) -> bool:
-    omega = max_clique(g)
-    return chromatic_number(g, omega=omega) == omega
+    return chromatic_number(g) == max_clique(g)

@@ -381,18 +381,28 @@ def test_automorphism_generators_generate_the_group_seven():
 
 def test_kept_automorphisms_survive_pickling_and_are_ignored_by_equality():
     """`canonical_form` keeps its search's automorphisms on the graph and
-    `relabel` conjugates them; a pickle round trip keeps them, and `==` and
-    `hash` do not see them."""
+    `relabel` conjugates them; the oracles keep their values in the
+    `omega`, `chi` and `perfect` slots and `relabel` copies them; a pickle
+    round trip keeps all four, and `==` and `hash` see none of them."""
     import pickle
+
+    from forbpairs.graphs import chromatic_number, max_clique
+    from forbpairs.perfection import is_perfect_spgt
+
+    def slots(x):
+        return x.auts, x.omega, x.chi, x.perfect
 
     g = relabel(G("C5+K2"), [3, 0, 6, 1, 5, 2, 4])
     plain = Graph(g.n, g.rows)
-    assert g.auts is None and relabel(g, range(g.n)).auts is None
+    assert slots(g) == slots(relabel(g, range(g.n))) == (None,) * 4
     _, perm = canonical_form(g)
     assert g.auts == b"".join(map(bytes, _canon(g.n, g.rows)[2])) != b""
+    assert (max_clique(g), chromatic_number(g), is_perfect_spgt(g).perfect) == (2, 3, False)
+    assert slots(g)[1:] == (2, 3, False)
     h = relabel(g, perm)
     assert set(zip(*[iter(h.auts)] * h.n)) <= _brute_automorphisms(h)
+    assert slots(h)[1:] == (2, 3, False)
     for x in (g, h):
         back = pickle.loads(pickle.dumps(x))
-        assert back == x and back.auts == x.auts
-    assert g == plain and hash(g) == hash(plain)
+        assert back == x and slots(back) == slots(x)
+    assert g == plain and hash(g) == hash(plain) and slots(plain) == (None,) * 4

@@ -5,10 +5,12 @@ import pytest
 
 from forbpairs.expr import graph_from_expr as G
 from forbpairs.graphs import (
+    Graph,
     Invariants,
     bits,
     build,
     chromatic_number,
+    clique_number,
     complement,
     disjoint_union,
     has_independent_set,
@@ -186,11 +188,14 @@ def _independent_partitions(g):
 
 
 def _check_omega_chi(n):
-    for g in generate_graphs(n):
+    """The searches, on fresh copies that hold no value a walk carried, and
+    the slots they fill, which a second call returns."""
+    for level in generate_graphs(n):
+        g = Graph(level.n, level.rows)
         omega = max_clique(g)
-        assert omega == _brute_omega(g), g
+        assert omega == _brute_omega(g) == g.omega, g
         chi = min(map(len, _independent_partitions(g)))
-        assert chromatic_number(g) == chromatic_number(g, omega=omega) == chi, g
+        assert chromatic_number(g) == chi == g.chi == chromatic_number(g), g
 
 
 def test_omega_chi_against_subsets_and_partitions():
@@ -202,6 +207,16 @@ def test_omega_chi_against_subsets_and_partitions():
 @pytest.mark.slow
 def test_omega_chi_against_subsets_and_partitions_eight():
     _check_omega_chi(8)
+
+
+def test_clique_number_inside_every_mask():
+    """The clique search that `max_clique` and generation share, on every
+    vertex subset of every graph with at most 6 vertices."""
+    for n in range(7):
+        for g in generate_graphs(n):
+            for mask in range(1 << n):
+                sub = induced_subgraph(g, bits(mask))
+                assert clique_number(g.rows, mask) == _brute_omega(sub), (g, mask)
 
 
 def test_chi_at_least_omega_exhaustive_small():

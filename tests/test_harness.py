@@ -381,15 +381,75 @@ def test_verify_full_matches_restricted():
     assert a.verdict == b.verdict == "violated"
 
 
+def _oracle_walk(top, patterns=None, threads=1):
+    """Levels 1..top of a class, each graph as (rows, omega, chi, perfect)
+    as built, with both verdicts asked on every level before the next one
+    is built, so that each level inherits from its parents."""
+    levels = []
+    for n in range(1, top + 1):
+        level = generate_graphs(n, patterns, threads=threads)
+        levels.append([(g.rows, g.omega, g.chi, g.perfect) for g in level])
+        for g in level:
+            harness._certificate(g, "perfect")
+            harness._certificate(g, "omega")
+    return levels
+
+
 def test_parallel_equals_sequential(monkeypatch, workbench):
+    """The same levels, and the same values inherited, with two worker
+    processes as with one."""
     # levels 6 and 7 hold 74 and 217 graphs, at least the 64 parents that
     # send a level to the pool
     monkeypatch.setattr(harness, "_cpus", lambda: 2)
     pats = [G("K1,3"), G("P5")]
-    seq = generate_graphs(8, pats, threads=1)
+    seq = _oracle_walk(8, pats, threads=1)
     workbench.walk.cache_clear()
-    par = generate_graphs(8, pats, threads=2)
-    assert [g.rows for g in seq] == [g.rows for g in par]
+    workbench.parent.cache_clear()
+    par = _oracle_walk(8, pats, threads=2)
+    assert par == seq
+    for slot in (1, 2, 3):  # each of omega, chi and perfect is inherited
+        assert any(g[slot] is not None for g in seq[7])
+
+
+def _check_carried_values(top, workbench):
+    """Every value a graph inherited, on all graphs and the nine classes up
+    to order top, equals the oracles' on a fresh copy; each of the three
+    slots is inherited somewhere.  The parent records are cleared per
+    class, so no child was built, and had its slots filled, by another
+    class's walk."""
+    from forbpairs.graphs import chromatic_number, max_clique
+    from forbpairs.perfection import is_perfect_spgt
+
+    carried = [0, 0, 0]
+    for pats in [None] + [[G(x), G(y)] for x, y in PATTERN_PAIRS]:
+        workbench.parent.cache_clear()
+        for level in _oracle_walk(top, pats):
+            for rows, *have in level:
+                fresh = Graph(len(rows), rows)
+                perfect = is_perfect_spgt(fresh).perfect
+                want = max_clique(fresh), chromatic_number(fresh), perfect
+                for k, (value, truth) in enumerate(zip(have, want)):
+                    if value is not None:
+                        assert value == truth, (rows, k)
+                        carried[k] += 1
+    assert all(carried), carried
+
+
+def test_carried_values_equal_the_oracles(workbench):
+    _check_carried_values(7, workbench)
+
+
+@pytest.mark.slow
+def test_carried_values_equal_the_oracles_eight(workbench):
+    _check_carried_values(8, workbench)
+
+
+def test_walk_asked_nothing_carries_nothing(workbench):
+    """Generation alone asks no oracle and leaves every slot empty."""
+    for n in range(1, 8):
+        assert all(
+            (g.omega, g.chi, g.perfect) == (None, None, None) for g in generate_graphs(n)
+        )
 
 
 def test_thread_count_builds_no_level_again(monkeypatch, workbench):
@@ -431,7 +491,7 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, workbench):
         def __exit__(self, *exc):
             return False
 
-        def imap_unordered(self, fn, items):
+        def imap(self, fn, items):
             return map(fn, items)
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
@@ -543,6 +603,29 @@ def test_revalidation_ignores_the_verdict_cache(monkeypatch, workbench):
     assert harness.WORKBENCH is not workbench
     assert harness.WORKBENCH.verdict(c4, "perfect") is None
     assert verify_universal(pair, NAMED_CLASSES["G"], "perfect", 4).verdict == "all_hold"
+
+
+def test_revalidation_ignores_the_oracle_slots(workbench):
+    """A wrong clique or chromatic number kept on a generated class member
+    makes it a counterexample, and re-validation, which checks a fresh
+    copy, catches it.  A wrong "imperfect" is not trusted: the search for
+    a witness runs and finds the graph perfect."""
+    pair = PairSpec(G("3K1"), G("K4"))
+    c4 = canonical_graph(G("C4"))  # as generated, perfect, chi = omega = 2
+    level = generate_graphs(4, [pair.x, pair.y])
+    g = level[level.index(c4)]
+    for slot, value in (("omega", 1), ("chi", 3)):
+        workbench.verdict.cache_clear()
+        assert (g.omega, g.chi) == (None, None)
+        setattr(g, slot, value)
+        with pytest.raises(AssertionError, match="satisfies the property on re-check"):
+            verify_universal(pair, NAMED_CLASSES["G"], "omega", 4)
+        g.omega = g.chi = None
+    clean = verify_universal(pair, NAMED_CLASSES["G"], "perfect", 4).to_text()
+    workbench.verdict.cache_clear()
+    g.perfect = False
+    assert verify_universal(pair, NAMED_CLASSES["G"], "perfect", 4).to_text() == clean
+    assert g.perfect is True
 
 
 def test_reports_do_not_depend_on_the_verdict_cache(workbench):

@@ -15,10 +15,12 @@ from forbpairs.graphs import (
 )
 from forbpairs.harness import generate_graphs, generate_upto
 from forbpairs.perfection import (
+    PerfectnessCertificate,
     is_omega_colourable,
     is_perfect_definition,
     is_perfect_spgt,
     odd_hole,
+    odd_hole_through,
 )
 
 
@@ -136,6 +138,35 @@ def test_odd_hole_against_brute_force():
         g = build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                       if rng.random() < rng.choice([0.3, 0.5, 0.7])])
         assert (odd_hole(g) is None) == (brute_odd_hole(g) is None)
+
+
+def brute_odd_hole_through(g, m):
+    """An odd hole through m, over the vertex subsets that contain m."""
+    others = [v for v in range(g.n) if v != m]
+    for k in range(4, g.n, 2):
+        for sub in itertools.combinations(others, k):
+            if is_cycle(induced_on_mask(g, sum(1 << v for v in sub) | 1 << m)):
+                return (m,) + sub
+    return None
+
+
+def test_odd_hole_through_against_brute_force():
+    """`odd_hole_through` on every graph with at most 7 vertices and every
+    vertex m: it finds a hole exactly when a vertex subset holding m
+    induces an odd cycle of length >= 5, and what it returns is such a
+    cycle, in cycle order from m."""
+    cases = found = 0
+    for g in generate_upto(7):
+        for m in range(g.n):
+            hole = odd_hole_through(g, m)
+            assert (hole is None) == (brute_odd_hole_through(g, m) is None), (g, m)
+            if hole is not None:
+                assert hole[0] == m and PerfectnessCertificate(
+                    "imperfect", "odd_hole", hole
+                ).validate(g), (g, m)
+                found += 1
+            cases += 1
+    assert cases == 8475 and found > 0
 
 
 def test_spgt_examples():
