@@ -23,6 +23,34 @@ code, the vertex order and the recorded automorphisms are the same; the
 tests keep that search as the reference.  Testing the cell against its
 least vertex is enough, since being twins is an equivalence relation.
 
+Refinement splits cells until the ordered partition is equitable: the
+vertices of a cell have equally many neighbours in each cell.  The
+reference round splits every cell by its vertices' neighbour counts in
+all cells, read in order, and puts the parts in increasing order of those
+counts.  `refine` counts only into the cells that the last round made,
+less the last part of each split (McKay, "Practical graph isomorphism",
+Congressus Numerantium 30, 1981), and reaches the same ordered partition
+round by round.  It keeps this invariant: before a round, the
+vertices of a cell have equal counts in each cell of the partition that
+the last round started from.  Within a cell, then, the count in a cell
+that the last round left whole is the same for every vertex, and the
+count in the last part of a split is the count in the whole, again the
+same for every vertex, less the counts in the other parts, which come
+before it and are counted.  So two vertices of a cell whose counts
+differ first differ in a counted part, and the round splits and orders
+every cell as the reference round would; afterwards the vertices of each
+cell have equal counts in every cell the round started from, which is
+the invariant again.  The root counts into the whole vertex set, so its
+first round splits by degree.  A child starts from its parent's
+partition, which is equitable, twin walk included, with one vertex split
+off its cell: it counts into that vertex alone, the rest of the cell
+being the last part.
+
+The search carries down the tree the leading singletons of its partition,
+in order, and their rows of the code.  Refinement splits cells in place,
+so a child's leading singletons extend its parent's, and only the rows of
+the vertices newly placed are read.
+
 `orbits` gives the orbits of the whole automorphism group, joined the same
 way from `automorphism_generators`.  Those generators come from the
 search that labelled the graph when there was one: `canonical_form` keeps
@@ -48,52 +76,71 @@ def _join(orbit: list[int], u: int, v: int) -> None:
             orbit[x] = merged
 
 
+def refine(rows: Sequence[int], cells: list[int], new: list[int]) -> list[int]:
+    """The equitable ordered partition that rounds of splitting reach from
+    cells, where new holds the cells to count into first (module
+    docstring).  A round splits every cell by its vertices' neighbour
+    counts in the cells of new, read in order, into parts in increasing
+    order of the counts; the next round counts into the parts it made,
+    less the last part of each split.  A round that splits nothing, or a
+    partition of singletons, ends it."""
+    n = len(rows)
+    while new and len(cells) < n:
+        out: list[int] = []
+        made: list[int] = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                out.append(cell)
+                continue
+            sigs: dict[int, int] = {}
+            for v in bits(cell):
+                r = rows[v]
+                sig = 0
+                for c in new:
+                    sig = sig << 7 | (r & c).bit_count()
+                if sig in sigs:
+                    sigs[sig] |= 1 << v
+                else:
+                    sigs[sig] = 1 << v
+            if len(sigs) == 1:
+                out.append(cell)
+            else:
+                parts = [sigs[sig] for sig in sorted(sigs)]
+                out += parts
+                made += parts[:-1]
+        cells, new = out, made
+    return cells
+
+
 def _canon(n: int, rows: Sequence[int]):
     """(code, vertex order, automorphisms found between equal-code leaves)."""
     if n == 0:
         return b"\x00", (), []
 
-    cells = [(1 << n) - 1]
     best_code: tuple[int, ...] | None = None
     best_perm: list[int] | None = None
     auts: list[tuple[int, ...]] = []
 
-    def refine(cells: list[int]) -> list[int]:
-        while True:
-            changed = False
-            out: list[int] = []
-            for cell in cells:
-                if cell & (cell - 1) == 0:
-                    out.append(cell)
-                    continue
-                sigs: dict[int, int] = {}
-                for v in bits(cell):
-                    r = rows[v]
-                    sig = 0
-                    for c2 in cells:
-                        sig = sig << 7 | (r & c2).bit_count()
-                    if sig in sigs:
-                        sigs[sig] |= 1 << v
-                    else:
-                        sigs[sig] = 1 << v
-                if len(sigs) == 1:
-                    out.append(cell)
-                else:
-                    changed = True
-                    for sig in sorted(sigs):
-                        out.append(sigs[sig])
-            if not changed:
-                return out
-            cells = out
-
-    def search(cells: list[int], fixed: list[int]):
+    def search(
+        cells: list[int],
+        new: list[int],
+        fixed: list[int],
+        prefix: list[int],
+        partial: tuple[int, ...],
+    ):
+        """The node whose partition is cells refined by counting into new;
+        prefix holds the parent node's leading singletons, in order, and
+        partial their rows of the code."""
         nonlocal best_code, best_perm
-        cells = refine(cells)
+        cells = refine(rows, cells, new)
 
-        # a cell of mutual twins would make one child, which refinement would
-        # leave alone, so it is walked in increasing order (module docstring)
-        prefix: list[int] = []
-        t = 0
+        # the refined cells keep the leading singletons in place; the cells
+        # after them are placed in turn, and a cell of mutual twins, which
+        # would make one child that refinement would leave alone, is walked
+        # in increasing order (module docstring)
+        prefix = prefix[:]
+        placed = len(prefix)
+        t = placed
         while t < len(cells):
             cell = cells[t]
             if cell & (cell - 1):
@@ -107,22 +154,20 @@ def _canon(n: int, rows: Sequence[int]):
             else:
                 prefix.append(cell.bit_length() - 1)
                 t += 1
-        partial = []
-        for i, v in enumerate(prefix):
-            r = rows[v]
+        for i in range(placed, t):
+            r = rows[prefix[i]]
             acc = 0
             for u in prefix[:i]:
                 acc = acc << 1 | (r >> u & 1)
-            partial.append(acc)
-        pt = tuple(partial)
-        if best_code is not None and pt > best_code[: len(pt)]:
+            partial += (acc,)
+        if best_code is not None and partial > best_code[:t]:
             return
 
-        if len(prefix) == len(cells) and len(prefix) == n:
-            if best_code is None or pt < best_code:
-                best_code = pt
+        if t == n:
+            if best_code is None or partial < best_code:
+                best_code = partial
                 best_perm = prefix
-            elif pt == best_code:
+            elif partial == best_code:
                 gamma = [0] * n
                 for i in range(n):
                     gamma[best_perm[i]] = prefix[i]
@@ -157,9 +202,10 @@ def _canon(n: int, rows: Sequence[int]):
                 continue
             tried |= 1 << v
             child = cells[:t] + [1 << v, target ^ (1 << v)] + cells[t + 1 :]
-            search(child, fixed + [v])
+            search(child, [1 << v], fixed + [v], prefix, partial)
 
-    search(cells, [])
+    full = (1 << n) - 1
+    search([full], [full], [], [], ())
     assert best_code is not None and best_perm is not None
 
     total_bits = n * (n - 1) // 2

@@ -25,7 +25,7 @@ search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -287,8 +287,9 @@ def shape_report(g: Graph) -> ShapeReport:
 
 def clique_number(rows: Sequence[int], cand: int) -> int:
     """Size of a largest clique among the vertices of cand, by branch and
-    bound over candidate masks: `max_clique` on the whole graph, and
-    generation on the neighbourhood of a new vertex."""
+    bound over candidate masks, for `max_clique` on the whole graph.
+    Generation does not call it: a child's clique number comes from its
+    parent's maximum cliques (`maximum_cliques`, `harness._Parent.extend`)."""
     best = 0
 
     def expand(cand: int, size: int):
@@ -320,25 +321,28 @@ def max_clique(g: Graph) -> int:
     return g.omega
 
 
+def _cliques(rows: Sequence[int], cand: int, size: int) -> Iterator[int]:
+    """The cliques of size vertices among cand, as bit masks, in
+    lexicographic order of their vertices listed lowest first."""
+    if size == 0:
+        yield 0
+        return
+    for v in bits(cand):
+        above = cand & rows[v] & ~((2 << v) - 1)
+        if above.bit_count() >= size - 1:
+            for clique in _cliques(rows, above, size - 1):
+                yield clique | 1 << v
+
+
 def max_clique_set(g: Graph) -> int:
     """Lexicographically smallest maximum clique, as a bit mask."""
-    size = max_clique(g)
-    rows = g.rows
+    return next(_cliques(g.rows, (1 << g.n) - 1, max_clique(g)))
 
-    def grow(chosen: int, cand: int, need: int) -> int | None:
-        if need == 0:
-            return chosen
-        for v in bits(cand):
-            rest = cand & rows[v] & ~((1 << (v + 1)) - 1)
-            if 1 + rest.bit_count() >= need:
-                got = grow(chosen | 1 << v, cand & rows[v], need - 1)
-                if got is not None:
-                    return got
-        return None
 
-    out = grow(0, (1 << g.n) - 1, size)
-    assert out is not None
-    return out
+def maximum_cliques(g: Graph) -> list[int]:
+    """Every maximum clique of g, as bit masks, in the order of
+    `max_clique_set`; the empty graph has the empty clique."""
+    return list(_cliques(g.rows, (1 << g.n) - 1, max_clique(g)))
 
 
 def independence_number(g: Graph) -> int:

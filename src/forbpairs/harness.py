@@ -24,14 +24,19 @@ canonical-deletion filter after McKay ("Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  A child is kept only when its new
 vertex has the maximal invariant among the child's vertices: the degree
 first, then, among vertices of equal degree, the sum of the neighbours'
-degrees.  Both are read off the parent's degrees and the mask, from
-adjacency alone.  This loses no class.  Take a graph G of the level and a
-vertex m of G with the maximal invariant.  G - m is in the parent level,
-up to isomorphism, since the class is hereditary.  So one mask re-adds m
-to that canonical parent; it is not blocked, because G is free, and the
+degrees, then, among vertices equal in both, the number of triangles
+through the vertex.  All three are read off the parent and the mask: the
+new vertex lies on one triangle per edge inside mask, and a parent
+vertex t gains one triangle per neighbour of t in mask when t itself is
+in mask.  This loses no class, and neither would any other invariant
+that ignores labels.  Take a graph G of the level and a vertex m of G
+with the maximal invariant.  G - m is in the parent level, up to
+isomorphism, since the class is hereditary.  So one mask re-adds m to
+that canonical parent; it is not blocked, because G is free, and the
 filter keeps it, because the invariant ignores labels.  Ties are all kept,
 and the canonical-code dict removes the duplicates, so the output is the
-same as canonicalising every child.  The masks that pass the degree test
+same as canonicalising every child; each part of the invariant only
+makes the ties fewer.  The masks that pass the degree test
 are built, not found by a scan of all 2^n: the new vertex has the largest
 degree k exactly when k is at least the parent's largest degree and the
 mask holds none of the parent's vertices of degree k, so they are the
@@ -64,8 +69,11 @@ A child inherits what its parent's oracle slots settle, and only what
 the parent already holds when the child is built: a walk that no oracle
 is asked about carries nothing and does no extra work.  Take a parent P
 and the child G = P + m, with m's neighbourhood mask.
-- omega(G) = max(omega(P), 1 + omega(P[mask])), one clique search on the
-  mask (`graphs.clique_number`), set when omega(P) is known.
+- omega(G) = max(omega(P), 1 + omega(P[mask])), so omega(G) exceeds
+  omega(P), by one, exactly when mask holds a maximum clique of P.  The
+  record lists P's maximum cliques once (`graphs.maximum_cliques`), on
+  the first child built while omega(P) is known, and each child tests
+  its mask against them, with no clique search.
 - chi(P) <= chi(G) <= chi(P) + 1, and chi(G) >= omega(G).  So when
   omega(G) > chi(P), chi(G) = omega(G) with no colouring, set when chi(P)
   is known.
@@ -153,12 +161,12 @@ from .graphs import (
     Graph,
     bits,
     chromatic_number,
-    clique_number,
     complement,
     has_independent_set,
     is_connected,
     is_cycle,
     max_clique,
+    maximum_cliques,
     relabel,
     twins,
 )
@@ -191,12 +199,13 @@ class _Parent:
     """What a parent fixes whatever the pattern set: the candidate masks,
     in increasing order, the canonical children that restricted classes
     built from it so far, by mask, and the candidate masks that complete
-    each pattern asked about so far, by pattern.  A candidate mask is the neighbourhood of a new
-    vertex that has the maximal (degree, neighbour degree sum) of the
-    child, and that is the least mask of its orbit under the parent's
-    automorphism group."""
+    each pattern asked about so far, by pattern, and the maximum cliques
+    of the parent once a child has needed them.  A candidate mask is the
+    neighbourhood of a new vertex that has the maximal (degree, neighbour
+    degree sum, triangles) of the child, and that is the least mask of
+    its orbit under the parent's automorphism group."""
 
-    __slots__ = ("graph", "masks", "children", "blocked")
+    __slots__ = ("graph", "masks", "children", "blocked", "cliques")
 
     def __init__(self, parent: Graph):
         rows, n = parent.rows, parent.n
@@ -207,6 +216,8 @@ class _Parent:
         for v, d in enumerate(deg):
             at[d] |= 1 << v
         nsum = [sum(deg[u] for u in bits(r)) for r in rows]
+        # tri[v]: the edges among v's neighbours, the triangles at v
+        tri = [sum((rows[u] & r).bit_count() for u in bits(r)) // 2 for r in rows]
         # the new vertex has degree k; a parent vertex of degree d has d + 1
         # in the child when it is in mask, else d.  So no parent vertex has a
         # larger degree exactly when k >= top and mask holds no vertex of
@@ -230,6 +241,28 @@ class _Parent:
             if len(prefix) > 2:
                 prefixes.append(prefix)
 
+        def outranked(mask: int, k: int, ties: int) -> bool:
+            """Whether a vertex of ties, of the new vertex's degree k in the
+            child of mask, has a larger (neighbour degree sum, triangles)."""
+            # the new vertex's neighbour degree sum is k plus mask's degrees;
+            # a tied vertex t gains one per neighbour in mask, whose degree
+            # grows, and k for the new neighbour when t is in mask
+            s = k + sum(deg[v] for v in bits(mask))
+            e = -1
+            for t in bits(ties):
+                inside = (rows[t] & mask).bit_count()
+                d = nsum[t] + inside + (k if mask >> t & 1 else 0)
+                if d > s:
+                    return True
+                if d == s:
+                    # the new vertex lies on a triangle per edge inside mask,
+                    # and t, when in mask, gains one per neighbour in mask
+                    if e < 0:
+                        e = sum((rows[v] & mask).bit_count() for v in bits(mask)) // 2
+                    if tri[t] + (inside if mask >> t & 1 else 0) > e:
+                        return True
+            return False
+
         def lowered(mask: int) -> int:
             """The mask with its vertices of each twin class moved onto the
             least ones of the class."""
@@ -252,14 +285,8 @@ class _Parent:
                 continue  # a smaller mask of its orbit came first
             k = mask.bit_count()
             ties = at[k] & ~mask | at[k - 1] & mask  # at[-1] is empty
-            if ties:
-                s = k + sum(deg[v] for v in bits(mask))
-                if any(
-                    nsum[t] + (rows[t] & mask).bit_count() + (k if mask >> t & 1 else 0)
-                    > s
-                    for t in bits(ties)
-                ):
-                    continue  # a tied vertex has a larger neighbour degree sum
+            if ties and outranked(mask, k, ties):
+                continue  # a tied vertex has a larger invariant
             self.masks.append(mask)
             if gens:
                 seen.add(mask)
@@ -272,6 +299,7 @@ class _Parent:
                             orbit.append(image)
         self.children: dict[int, tuple[bytes, Graph]] = {}
         self.blocked: dict[Graph, int] = {}
+        self.cliques: list[int] | None = None
 
     def completes(self, pattern: Graph) -> int:
         """The candidate masks whose child contains pattern, as the set
@@ -301,7 +329,9 @@ class _Parent:
         rows.append(mask)
         g = Graph(m + 1, rows)
         if parent.omega is not None:
-            g.omega = max(parent.omega, 1 + clique_number(parent.rows, mask))
+            if self.cliques is None:
+                self.cliques = maximum_cliques(parent)
+            g.omega = parent.omega + any(c & mask == c for c in self.cliques)
             if parent.chi is not None and g.omega > parent.chi:
                 g.chi = g.omega
         if parent.perfect and not (

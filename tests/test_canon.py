@@ -13,6 +13,7 @@ from forbpairs.canon import (
     canonical_graph,
     isomorphic,
     orbits,
+    refine,
 )
 from forbpairs.expr import graph_from_expr as G
 from forbpairs.graphs import (
@@ -163,6 +164,38 @@ def test_canonical_search_matches_golden():
 
 
 
+def reference_refine(rows, cells: list[int]) -> list[int]:
+    """The refinement that counts every vertex's neighbours in every cell,
+    round after round until a round splits nothing: the slow twin of
+    `canon.refine`, which counts only into the cells that changed."""
+    while True:
+        changed = False
+        out: list[int] = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                out.append(cell)
+                continue
+            sigs: dict[int, int] = {}
+            for v in bits(cell):
+                r = rows[v]
+                sig = 0
+                for c2 in cells:
+                    sig = sig << 7 | (r & c2).bit_count()
+                if sig in sigs:
+                    sigs[sig] |= 1 << v
+                else:
+                    sigs[sig] = 1 << v
+            if len(sigs) == 1:
+                out.append(cell)
+            else:
+                changed = True
+                for sig in sorted(sigs):
+                    out.append(sigs[sig])
+        if not changed:
+            return out
+        cells = out
+
+
 def reference_canon(n, rows):
     """The canonical search that branches at every non-singleton cell and
     refines at each child, the slow twin of `_canon`, which must return the
@@ -175,37 +208,9 @@ def reference_canon(n, rows):
     best_perm: list[int] | None = None
     auts: list[tuple[int, ...]] = []
 
-    def refine(cells: list[int]) -> list[int]:
-        while True:
-            changed = False
-            out: list[int] = []
-            for cell in cells:
-                if cell & (cell - 1) == 0:
-                    out.append(cell)
-                    continue
-                sigs: dict[int, int] = {}
-                for v in bits(cell):
-                    r = rows[v]
-                    sig = 0
-                    for c2 in cells:
-                        sig = sig << 7 | (r & c2).bit_count()
-                    if sig in sigs:
-                        sigs[sig] |= 1 << v
-                    else:
-                        sigs[sig] = 1 << v
-                if len(sigs) == 1:
-                    out.append(cell)
-                else:
-                    changed = True
-                    for sig in sorted(sigs):
-                        out.append(sigs[sig])
-            if not changed:
-                return out
-            cells = out
-
     def search(cells: list[int], fixed: list[int]):
         nonlocal best_code, best_perm
-        cells = refine(cells)
+        cells = reference_refine(rows, cells)
 
         prefix: list[int] = []
         for cell in cells:
@@ -295,6 +300,26 @@ def test_canonical_search_matches_reference_up_to_seven():
         for g in generate_graphs(n):
             _check_against_reference(g)
             _check_against_reference(_shuffled(g, rng))
+
+
+def test_refinement_of_changed_cells_matches_reference():
+    """`refine` gives the ordered partition of the all-cells refinement at
+    the root and after individualising each vertex of a cell of two or
+    more there, on every graph with at most 7 vertices, canonically
+    labelled and shuffled."""
+    rng = random.Random(31)
+    for n in range(1, 8):
+        full = (1 << n) - 1
+        for g in generate_graphs(n):
+            for h in (g, _shuffled(g, rng)):
+                root = reference_refine(h.rows, [full])
+                assert refine(h.rows, [full], [full]) == root, h
+                for t, cell in enumerate(root):
+                    if cell & (cell - 1):
+                        for v in bits(cell):
+                            child = root[:t] + [1 << v, cell ^ 1 << v] + root[t + 1 :]
+                            want = reference_refine(h.rows, child)
+                            assert refine(h.rows, child, [1 << v]) == want, (h, v)
 
 
 def _twin_rich_graphs(rng, count):

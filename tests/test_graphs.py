@@ -20,6 +20,8 @@ from forbpairs.graphs import (
     is_complete_multipartite,
     max_clique,
     max_clique_set,
+    maximum_cliques,
+    relabel,
     shape_report,
     twins,
 )
@@ -210,13 +212,36 @@ def test_omega_chi_against_subsets_and_partitions_eight():
 
 
 def test_clique_number_inside_every_mask():
-    """The clique search that `max_clique` and generation share, on every
-    vertex subset of every graph with at most 6 vertices."""
+    """The clique search behind `max_clique`, on every vertex subset of
+    every graph with at most 6 vertices."""
     for n in range(7):
         for g in generate_graphs(n):
             for mask in range(1 << n):
                 sub = induced_subgraph(g, bits(mask))
                 assert clique_number(g.rows, mask) == _brute_omega(sub), (g, mask)
+
+
+def test_maximum_cliques_against_subsets():
+    """`maximum_cliques` lists the largest vertex subsets that are cliques,
+    in lexicographic order, and `max_clique_set` is the first of them, on
+    every graph with at most 7 vertices, canonically labelled and
+    shuffled."""
+    rng = random.Random(23)
+    for n in range(8):
+        for g in generate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, relabel(g, perm)):
+                cliques = [
+                    sum(1 << v for v in vs)
+                    for size in range(n + 1)
+                    for vs in itertools.combinations(range(n), size)
+                    if all(h.adj(u, v) for u, v in itertools.combinations(vs, 2))
+                ]
+                size = max(c.bit_count() for c in cliques)
+                want = [c for c in cliques if c.bit_count() == size]
+                assert maximum_cliques(h) == want, h
+                assert max_clique_set(h) == want[0], h
 
 
 def test_chi_at_least_omega_exhaustive_small():
